@@ -29,7 +29,9 @@ __all__ = [
     "TotalPositivityResult",
     "build_polynomial",
     "is_valid_statistics",
+    "require_valid",
     "is_irreducible_statistics",
+    "least_positive_root",
     "character_coefficients",
     "single_mode_character",
     "excitation_spectrum",
@@ -90,12 +92,13 @@ class ClassificationReport:
     """Outcome of the validity test for one label.
 
     ``max_occupation`` is None when unbounded (bosonic-like) or when the
-    label is invalid.  ``roots_summary`` counts distinct real roots of the
-    defining polynomial by sign.
+    label is invalid; ``irreducible`` is None past the factorization
+    bound.  ``roots_summary`` counts distinct real roots of the defining
+    polynomial by sign.
     """
 
     valid: bool
-    irreducible: bool
+    irreducible: bool | None
     order: int
     max_occupation: int | None
     roots_summary: dict[str, int]
@@ -131,14 +134,15 @@ def _deriv(p: list[Fraction]) -> list[Fraction]:
 def _divmod_poly(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
     a = a[:]
     q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b) and _trim(a):
+    # trim before the length test, so the shift below can never go negative
+    while _trim(a) and len(a) >= len(b):
         shift = len(a) - len(b)
         factor = a[-1] / b[-1]
         q[shift] = factor
         for i, c in enumerate(b):
             a[shift + i] -= factor * c
         a.pop()
-    return _trim(q), _trim(a)
+    return _trim(q), a
 
 
 def _gcd_poly(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
@@ -152,7 +156,9 @@ def _gcd_poly(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
 
 
 def _sturm_chain(p: list[Fraction]) -> list[list[Fraction]]:
-    chain = [p, _deriv(p)]
+    """Sturm chain of the square-free part of p."""
+    squarefree = _divmod_poly(p, _gcd_poly(p, _deriv(p)))[0]
+    chain = [squarefree, _deriv(squarefree)]
     while len(chain[-1]) > 1:
         rem = _divmod_poly(chain[-2], chain[-1])[1]
         if not rem:
@@ -170,62 +176,62 @@ def _sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
 
-def _lowest_term(p: list[Fraction]) -> tuple[int, Fraction]:
-    for i, c in enumerate(p):
-        if c != 0:
-            return i, c
-    return 0, Fraction(0)
+def _roots_upto(chain: list[list[Fraction]], upper: Fraction | None) -> int:
+    """Distinct roots in (0, upper] ((0, inf) for None) from a Sturm chain.
 
-
-def _sturm_distinct_halfline(p: list[Fraction], positive: bool) -> int:
-    """Distinct real roots of squarefree p on (0, inf) or (-inf, 0)."""
-    if len(p) <= 1:
-        return 0
-    chain = _sturm_chain(p)
-    if positive:
-        at_zero = [_sign(_lowest_term(c)[1]) for c in chain]  # x -> 0+
-        at_inf = [_sign(c[-1]) for c in chain]
-        return _variations(at_zero) - _variations(at_inf)
-    at_minus_inf = [_sign(c[-1]) * (-1) ** (len(c) - 1) for c in chain]
-    at_zero = []
-    for c in chain:  # x -> 0-
-        i, low = _lowest_term(c)
-        at_zero.append(_sign(low) * (-1) ** i)
-    return _variations(at_minus_inf) - _variations(at_zero)
-
-
-def _roots_halfline_with_multiplicity(p: list[Fraction], positive: bool) -> int:
-    p = _trim(p[:])
-    if len(p) <= 1:
-        return 0
-    g = _gcd_poly(p, _deriv(p))
-    squarefree = _divmod_poly(p, g)[0]
-    return _sturm_distinct_halfline(squarefree, positive) + _roots_halfline_with_multiplicity(
-        g, positive
-    )
-
-
-def count_real_roots(coeffs: Sequence[int | Fraction], positive: bool) -> int:
-    """Real roots (with multiplicity) of an integer polynomial on a half-line."""
-    return _roots_halfline_with_multiplicity([Fraction(c) for c in coeffs], positive)
-
-
-def count_real_roots_upto(coeffs: Sequence[int | Fraction], upper: Fraction) -> int:
-    """Roots in the interval (0, upper], exact. Used for divergence detection."""
-    p = [Fraction(c) for c in coeffs]
-    if _poly_eval(p, upper) == 0:
-        return 1
-    g = _gcd_poly(p, _deriv(p))
-    squarefree = _divmod_poly(p, g)[0]
-    chain = _sturm_chain(squarefree)
-    at_zero = [_sign(_lowest_term(c)[1]) for c in chain]
-    at_upper = [_sign(_poly_eval(c, upper)) for c in chain]
+    The sign variation count is right-continuous at roots, so a root on
+    either end is counted exactly when it lies in the half-open interval.
+    """
+    at_zero = [_sign(next(c for c in poly if c)) for poly in chain]  # x -> 0+
+    if upper is None:
+        at_upper = [_sign(poly[-1]) for poly in chain]
+    else:
+        at_upper = [_sign(_poly_eval(poly, upper)) for poly in chain]
     return _variations(at_zero) - _variations(at_upper)
 
 
-def _poly_eval(p: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(list(p)):
+def _on_positive_side(coeffs: Sequence[int | Fraction], positive: bool) -> list[Fraction]:
+    """p(x), or p(-x) to move the negative half-line onto the positive one."""
+    return _trim([Fraction(c) * (1 if positive else (-1) ** i) for i, c in enumerate(coeffs)])
+
+
+def count_real_roots(coeffs: Sequence[int | Fraction], positive: bool) -> int:
+    """Real roots (with multiplicity) of an integer polynomial on a half-line.
+
+    A root of multiplicity m is a distinct root of each of p, gcd(p, p'),
+    ... (m of them).
+    """
+    p = _on_positive_side(coeffs, positive)
+    total = 0
+    while len(p) > 1:
+        total += _roots_upto(_sturm_chain(p), None)
+        p = _gcd_poly(p, _deriv(p))
+    return total
+
+
+def count_real_roots_upto(coeffs: Sequence[int | Fraction], upper: Fraction) -> int:
+    """Distinct roots in the interval (0, upper], exact. Used for divergence detection."""
+    return _roots_upto(_sturm_chain([Fraction(c) for c in coeffs]), Fraction(upper))
+
+
+def least_positive_root(coeffs: Sequence[int]) -> float:
+    """Smallest float y with a root of the polynomial in (0, y], for a
+    polynomial with a root in (0, 1]: float bisection, each midpoint decided
+    exactly on one Sturm chain, until the bracket is two adjacent floats."""
+    chain = _sturm_chain([Fraction(c) for c in coeffs])
+    lo, hi = 0.0, 1.0
+    while lo < (mid := (lo + hi) / 2) < hi:
+        if _roots_upto(chain, Fraction(mid)):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _poly_eval(p: Sequence, x):
+    """Horner's rule; exact for Fractions, plain float arithmetic for a float x."""
+    acc = 0
+    for c in reversed(p):
         acc = acc * x + c
     return acc
 
@@ -234,23 +240,27 @@ def _poly_eval(p: Sequence[Fraction], x: Fraction) -> Fraction:
 # validity and irreducibility
 
 
+def require_valid(spec: StatisticsSpec) -> None:
+    """The validity gate every operation on a label passes through: raises
+    InvalidStatisticsError, carrying the full report, for invalid labels.
+    Builds the report (with its Kronecker factorization) only then."""
+    if count_real_roots(build_polynomial(spec), not spec.is_fermionic_like) != spec.order:
+        raise InvalidStatisticsError(is_valid_statistics(spec))
+
+
 def is_valid_statistics(spec: StatisticsSpec) -> ClassificationReport:
     """Admissibility gate: all roots real and strictly negative
     (fermionic-like) or strictly positive (bosonic-like), counted with
-    multiplicity by exact Sturm sequences."""
+    multiplicity by exact Sturm sequences.  ``irreducible`` is None past
+    the factorization bound."""
     coeffs = build_polynomial(spec)
     deg = spec.order
-    frac = [Fraction(c) for c in coeffs]
-
     wanted_positive = not spec.is_fermionic_like
-    with_mult = _roots_halfline_with_multiplicity(frac, wanted_positive)
+    with_mult = count_real_roots(coeffs, wanted_positive)
     valid = with_mult == deg
-
-    g = _gcd_poly(frac, _deriv(frac))
-    squarefree = _divmod_poly(frac, g)[0]
     summary = {
-        "negative": _sturm_distinct_halfline(squarefree, positive=False),
-        "positive": _sturm_distinct_halfline(squarefree, positive=True),
+        side: _roots_upto(_sturm_chain(_on_positive_side(coeffs, side == "positive")), None)
+        for side in ("negative", "positive")
     }
 
     reason = None
@@ -265,7 +275,7 @@ def is_valid_statistics(spec: StatisticsSpec) -> ClassificationReport:
     p = sum(spec.q) - 1 if (valid and spec.is_fermionic_like) else None
     return ClassificationReport(
         valid=valid,
-        irreducible=is_irreducible_statistics(spec),
+        irreducible=None if deg > FACTORIZATION_DEGREE_BOUND else is_irreducible_statistics(spec),
         order=deg,
         max_occupation=p,
         roots_summary=summary,
@@ -390,9 +400,7 @@ def single_mode_character(spec: StatisticsSpec, horizon: int) -> IntegerSeries:
 
     Raises InvalidStatisticsError (carrying the report) for invalid labels.
     """
-    report = is_valid_statistics(spec)
-    if not report.valid:
-        raise InvalidStatisticsError(report)
+    require_valid(spec)
     coeffs = character_coefficients(spec, horizon)
     if any(c < 0 for c in coeffs):
         raise RuntimeError(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -21,6 +22,7 @@ from .classify import (
     Kind,
     StatisticsSpec,
     is_valid_statistics,
+    require_valid,
     single_mode_character,
 )
 from .errors import (
@@ -163,17 +165,7 @@ def _parse_input_state(text: str, spec: StatisticsSpec) -> fock.LabeledState:
                 raise UnsupportedStatisticsError(
                     "auxiliary labels are defined for order-one labels only"
                 )
-            q = spec.q[1]
-            digits = []
-            for k, z in zip(occupied, values):
-                if not 0 <= z < q**k:
-                    raise ValueError(f"auxiliary value {z} outside 0..{q**k - 1}")
-                ds = []
-                for _ in range(k):
-                    ds.append(z % q if q > 1 else 0)
-                    z //= q if q > 1 else 1
-                digits.append(tuple(reversed(ds)))
-            aux = tuple(digits)
+            aux = tuple(fock.aux_digits(z, spec.q[1], k) for k, z in zip(occupied, values))
     return fock.LabeledState(ordinary=ordinary, aux=aux)
 
 
@@ -220,9 +212,7 @@ def _load_unitary(args) -> np.ndarray:
 
 def _cmd_simulate(args) -> int:
     spec = parse_label(args.label)
-    report = is_valid_statistics(spec)
-    if not report.valid:
-        raise InvalidStatisticsError(report)
+    require_valid(spec)
     g = _load_unitary(args)
     labeled = _parse_input_state(args.input, spec)
     if len(labeled.ordinary) != args.modes:
@@ -272,6 +262,11 @@ def _cmd_thermo(args) -> int:
     except ValueError as exc:
         raise LabelError(f"bad energies {args.energies!r}: {exc}") from exc
     beta = args.beta
+    numbers = energies + [v for v in (beta, args.mu, args.target_N) if v is not None]
+    if not (all(map(math.isfinite, numbers)) and beta > 0):
+        raise LabelError(
+            "--energies, --mu and --target-N must be finite, --beta finite and positive"
+        )
     if args.target_N is not None:
         try:
             mu = thermo.solve_mu(spec, energies, beta, args.target_N)

@@ -15,11 +15,11 @@ from typing import Sequence
 
 from .classify import (
     StatisticsSpec,
-    is_valid_statistics,
     max_occupation,
+    require_valid,
     single_mode_character,
 )
-from .errors import InvalidStatisticsError, UnsupportedStatisticsError
+from .errors import UnsupportedStatisticsError
 from .symfunc import Partition, schur_dimension, schur_expand_product
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "order_one_sector",
     "to_labeled",
     "from_labeled",
+    "aux_digits",
 ]
 
 OccupationState = tuple[int, ...]
@@ -73,12 +74,6 @@ class SectorDecomposition:
 @lru_cache(maxsize=None)
 def _char_coeffs(spec: StatisticsSpec, horizon: int) -> tuple[int, ...]:
     return single_mode_character(spec, horizon).coeffs
-
-
-def _require_valid(spec: StatisticsSpec) -> None:
-    report = is_valid_statistics(spec)
-    if not report.valid:
-        raise InvalidStatisticsError(report)
 
 
 def excitation_of(spec: StatisticsSpec, n: int) -> int:
@@ -137,7 +132,7 @@ def enumerate_basis(
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    _require_valid(spec)
+    require_valid(spec)
     if spec.is_fermionic_like:
         p = max_occupation(spec)
         return [tuple(reversed(t)) for t in product(range(p + 1), repeat=d)]
@@ -179,7 +174,7 @@ def decompose(
     ``max_weight`` defaults to the full space for fermionic-like labels
     (d * order) and is mandatory for bosonic-like ones.
     """
-    _require_valid(spec)
+    require_valid(spec)
     if max_weight is None:
         if not spec.is_fermionic_like:
             raise ValueError(
@@ -244,12 +239,14 @@ def _split_occupation(spec: StatisticsSpec, n: int) -> tuple[int, tuple[int, ...
     k = 0
     while _block_start(q, k + 1) <= n:
         k += 1
-    z = n - _block_start(q, k)
-    digits = []
-    for _ in range(k):
-        digits.append(z % q if q > 1 else 0)
-        z //= q if q > 1 else 1
-    return k, tuple(reversed(digits))
+    return k, aux_digits(n - _block_start(q, k), q, k)
+
+
+def aux_digits(z: int, q: int, k: int) -> tuple[int, ...]:
+    """The k base-q digits of z, most significant first (all 0 for q = 1)."""
+    if not 0 <= z < q**k:
+        raise ValueError(f"auxiliary value {z} outside 0..{q**k - 1}")
+    return tuple(z // q**i % q for i in reversed(range(k)))
 
 
 def to_labeled(spec: StatisticsSpec, state: Sequence[int]) -> LabeledState:
@@ -300,10 +297,10 @@ def from_labeled(spec: StatisticsSpec, labeled: LabeledState) -> OccupationState
                 raise ValueError(
                     f"digit string {digits} must have length k={k}"
                 )
-            if any(not 0 <= v < max(q, 1) or (q == 1 and v != 0) for v in digits):
+            if any(not 0 <= v < q for v in digits):
                 raise ValueError(f"digits {digits} outside base {q}")
             z = 0
             for v in digits:
-                z = z * q + v if q > 1 else 0
+                z = z * q + v
             out.append(_block_start(q, k) + z)
     return tuple(out)

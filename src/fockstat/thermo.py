@@ -14,15 +14,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .classify import (
     StatisticsSpec,
+    _poly_eval,
     build_polynomial,
     count_real_roots_upto,
-    is_valid_statistics,
+    least_positive_root,
+    require_valid,
 )
-from .errors import DivergenceError, InvalidStatisticsError
+from .errors import DivergenceError
 
 __all__ = [
     "EnsembleParams",
@@ -68,12 +70,6 @@ class SweepRow:
     flag: str  # "ok" | "divergent"
 
 
-def _require_valid(spec: StatisticsSpec) -> None:
-    report = is_valid_statistics(spec)
-    if not report.valid:
-        raise InvalidStatisticsError(report)
-
-
 def _diverges(spec: StatisticsSpec, t: float) -> bool:
     """Does the bosonic single-mode series diverge at y = e^t?
 
@@ -92,6 +88,30 @@ def _diverges(spec: StatisticsSpec, t: float) -> bool:
     return count_real_roots_upto(build_polynomial(spec), Fraction(y)) >= 1
 
 
+def _exponents(
+    spec: StatisticsSpec, energies: Sequence[float], beta: float, mu: float
+) -> Iterator[float]:
+    """t = -beta (eps_k - mu) mode by mode; DivergenceError(mode=k) at the
+    first divergent mode."""
+    for k, eps in enumerate(energies):
+        t = -beta * (eps - mu)
+        if _diverges(spec, t):
+            raise DivergenceError(mode=k)
+        yield t
+
+
+def _bosonic_terms(spec: StatisticsSpec, y: float) -> tuple[float | Fraction, float | Fraction]:
+    """Q+(y) and y Q+'(y).
+
+    Near a repeated root float Q+(y) cancels to (or past) 0 although the
+    exact gate has put y below the wall; there both are taken in Fractions.
+    """
+    coeffs = build_polynomial(spec)
+    if abs(_poly_eval(coeffs, y)) <= 1e-12 * _poly_eval([abs(c) for c in coeffs], y):
+        y = Fraction(y)
+    return _poly_eval(coeffs, y), y * _poly_eval([s * c for s, c in enumerate(coeffs)][1:], y)
+
+
 def _log_char(spec: StatisticsSpec, t: float) -> float:
     """log chi_1(e^t), numerically stable for any t in the convergent region."""
     if spec.is_fermionic_like:
@@ -99,105 +119,50 @@ def _log_char(spec: StatisticsSpec, t: float) -> float:
         terms = [s * t + math.log(q) for s, q in enumerate(spec.q)]
         m = max(terms)
         return m + math.log(sum(math.exp(v - m) for v in terms))
-    y = math.exp(t)
-    value = _poly_value(build_polynomial(spec), y)
-    return -math.log(value)
-
-
-def _poly_value(coeffs: Sequence[int], y: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * y + c
-    return acc
+    return -math.log(_bosonic_terms(spec, math.exp(t))[0])
 
 
 def _occupation_from_t(spec: StatisticsSpec, t: float) -> float:
     """Mean excitation y chi'(y)/chi(y) at y = e^t."""
+    if spec.order == 1 and spec.unique_vacuum:  # 1/((1/q) e^{beta(eps-mu)} +- 1)
+        q = spec.q[1]
+        x = -t  # beta (eps - mu)
+        if x > 700.0:
+            return q * math.exp(-x)
+        return 1.0 / (math.exp(x) / q + (1.0 if spec.is_fermionic_like else -1.0))
     if spec.is_fermionic_like:
-        if spec.order == 1 and spec.unique_vacuum:
-            q = spec.q[1]
-            x = -t  # beta (eps - mu)
-            if x > 700.0:
-                return q * math.exp(-x)
-            return 1.0 / (math.exp(x) / q + 1.0)
         terms = [s * t + math.log(c) for s, c in enumerate(spec.q)]
         m = max(terms)
         weights = [math.exp(v - m) for v in terms]
         return sum(s * w for s, w in zip(range(len(weights)), weights)) / sum(weights)
-    if spec.order == 1:
-        q = spec.q[1]
-        x = -t
-        if x > 700.0:
-            return q * math.exp(-x)
-        return 1.0 / (math.exp(x) / q - 1.0)
-    y = math.exp(t)
-    coeffs = build_polynomial(spec)
-    deriv = [s * c for s, c in enumerate(coeffs)][1:]
-    return -y * _poly_value(deriv, y) / _poly_value(coeffs, y)
+    value, slope = _bosonic_terms(spec, math.exp(t))
+    return float(-slope / value)
 
 
 def canonical_logZ(spec: StatisticsSpec, energies: Sequence[float], beta: float) -> float:
-    """log of the canonical partition function: sum_k log chi_1(e^{-beta eps_k})."""
-    _require_valid(spec)
-    if not beta > 0:
-        raise ValueError("beta must be positive")
-    total = 0.0
-    for k, eps in enumerate(energies):
-        t = -beta * eps
-        if _diverges(spec, t):
-            raise DivergenceError(mode=k)
-        total += _log_char(spec, t)
-    return total
+    """log of the canonical partition function: sum_k log chi_1(e^{-beta eps_k}),
+    the grand one at mu = 0."""
+    return grand_logZ(spec, energies, EnsembleParams(beta))
 
 
 def grand_logZ(
     spec: StatisticsSpec, energies: Sequence[float], params: EnsembleParams
 ) -> float:
     """log of the grand-canonical partition function."""
-    _require_valid(spec)
-    total = 0.0
-    for k, eps in enumerate(energies):
-        t = -params.beta * (eps - params.mu)
-        if _diverges(spec, t):
-            raise DivergenceError(mode=k)
-        total += _log_char(spec, t)
-    return total
+    require_valid(spec)
+    return sum(_log_char(spec, t) for t in _exponents(spec, energies, params.beta, params.mu))
 
 
 def mean_occupation(spec: StatisticsSpec, epsilon: float, params: EnsembleParams) -> float:
     """Mean excitation of a single mode at the given energy."""
-    _require_valid(spec)
-    t = -params.beta * (epsilon - params.mu)
-    if _diverges(spec, t):
-        raise DivergenceError(mode=0)
-    return _occupation_from_t(spec, t)
+    require_valid(spec)
+    return _total_occupation(spec, [epsilon], params.beta, params.mu)
 
 
 def _total_occupation(
     spec: StatisticsSpec, energies: Sequence[float], beta: float, mu: float
 ) -> float:
-    total = 0.0
-    for k, eps in enumerate(energies):
-        t = -beta * (eps - mu)
-        if _diverges(spec, t):
-            raise DivergenceError(mode=k)
-        total += _occupation_from_t(spec, t)
-    return total
-
-
-def _smallest_positive_root(spec: StatisticsSpec) -> float:
-    """Numeric estimate of the bosonic convergence radius (exact guards are
-    applied separately at every evaluation)."""
-    coeffs = build_polynomial(spec)
-    lo, hi = 0.0, 1.0
-    # the smallest root is <= 1; bisect the first sign change of Q+
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        if _poly_value(coeffs, mid) > 0 and not _diverges(spec, math.log(mid) if mid > 0 else -1e9):
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    return sum(_occupation_from_t(spec, t) for t in _exponents(spec, energies, beta, mu))
 
 
 def solve_mu(
@@ -216,7 +181,7 @@ def solve_mu(
     exceed d * order, the supremum of the total excitation; targets at the
     supremum itself resolve to the finite mu reaching it within tolerance.
     """
-    _require_valid(spec)
+    require_valid(spec)
     if not energies:
         raise ValueError("need at least one mode")
     if not target_N > 0:
@@ -245,7 +210,7 @@ def solve_mu(
         else:
             raise ValueError(f"target_N={target_N} unreachable (out of range)")
     else:
-        wall = e_min + math.log(_smallest_positive_root(spec)) / beta
+        wall = e_min + math.log(least_positive_root(build_polynomial(spec))) / beta
         hi = wall - max(1e-9, 1e-9 * abs(wall))
         for _ in range(60):
             try:
@@ -292,12 +257,10 @@ def thermo_report(
     energy sum_i eps_i n_i is the exact -d(logZ)/d(beta) at fixed beta*mu
     for labels of every order.
     """
-    _require_valid(spec)
-    logZ = grand_logZ(spec, energies, params)
-    occupations = tuple(
-        _occupation_from_t(spec, -params.beta * (eps - params.mu))
-        for eps in energies
-    )
+    require_valid(spec)
+    ts = list(_exponents(spec, energies, params.beta, params.mu))
+    logZ = sum(_log_char(spec, t) for t in ts)
+    occupations = tuple(_occupation_from_t(spec, t) for t in ts)
     mean_N = sum(occupations)
     mean_E = sum(e * n for e, n in zip(energies, occupations))
     entropy = logZ + params.beta * mean_E - params.beta * params.mu * mean_N
@@ -320,7 +283,7 @@ def sweep(
     Rows past the bosonic divergence wall are emitted with flag
     "divergent" and n = nan rather than dropped.
     """
-    _require_valid(spec)
+    require_valid(spec)
     lo, hi, steps = epsilon_range
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -331,7 +294,7 @@ def sweep(
     rows = []
     for eps in grid:
         try:
-            n = mean_occupation(spec, eps, params)
+            n = _total_occupation(spec, [eps], params.beta, params.mu)
             rows.append(SweepRow(epsilon=eps, n=n, flag="ok"))
         except DivergenceError:
             rows.append(SweepRow(epsilon=eps, n=float("nan"), flag="divergent"))

@@ -1,4 +1,7 @@
-from itertools import combinations, permutations
+import math
+import random
+from fractions import Fraction
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,9 +13,11 @@ from fockstat.classify import (
     build_polynomial,
     character_coefficients,
     count_real_roots,
+    count_real_roots_upto,
     excitation_spectrum,
     is_irreducible_statistics,
     is_valid_statistics,
+    least_positive_root,
     max_occupation,
     single_mode_character,
     totally_positive_upto,
@@ -147,6 +152,24 @@ class TestIrreducibility:
     def test_degree_guard(self):
         with pytest.raises(ResourceGuardError):
             is_irreducible_statistics(fspec(*([1] * 10)))
+
+    def test_report_past_the_guard_leaves_irreducibility_open(self):
+        # (1+x)^9: validity is decidable, factorization is past the bound
+        r = is_valid_statistics(fspec(1, 9, 36, 84, 126, 126, 84, 36, 9, 1))
+        assert r.valid and r.irreducible is None
+        assert r.roots_summary == {"negative": 1, "positive": 0}
+
+    def test_matches_sympy_on_degree_4_and_5_grid(self):
+        # trial division once lost track of the remainder's degree here
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        for deg in (4, 5):
+            for q in product(range(1, 4), repeat=deg + 1):
+                for spec in [fspec(*q)] + ([bspec(*q)] if q[0] == 1 else []):
+                    poly = sympy.Poly(list(reversed(build_polynomial(spec))), x)
+                    factors = poly.factor_list()[1]
+                    expected = len(factors) == 1 and factors[0][1] == 1
+                    assert is_irreducible_statistics(spec) is expected, spec
 
 
 class TestCharacter:
@@ -349,3 +372,32 @@ class TestRootCounting:
     def test_no_roots_on_wrong_side(self):
         assert count_real_roots([1, 1], positive=True) == 0
         assert count_real_roots([1, 1], positive=False) == 1
+
+    def test_agrees_with_sympy_with_roots_on_the_bound(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        rng = random.Random(11)
+        for _ in range(150):
+            roots = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
+            poly = sympy.Poly(1, x)
+            for r in roots:
+                poly *= sympy.Poly(r.denominator * x - r.numerator, x)
+            if rng.random() < 0.5:  # a factor without real roots
+                poly *= sympy.Poly(x**2 + rng.randint(-1, 1) * x + rng.randint(1, 3), x)
+            coeffs = [int(c) for c in reversed(poly.all_coeffs())]
+            upper = rng.choice([r for r in roots if r > 0] or [Fraction(1)])
+            squarefree = poly.sqf_part()
+            at_zero = int(squarefree.eval(0) == 0)
+            in_range = squarefree.count_roots(0, upper) - at_zero
+            assert count_real_roots_upto(coeffs, upper) == in_range, (coeffs, upper)
+            with_mult = sum(m * f.count_roots(0, None) for f, m in poly.sqf_list()[1])
+            zero_mult = next(i for i, c in enumerate(coeffs) if c)
+            assert count_real_roots(coeffs, positive=True) == with_mult - zero_mult
+            mirrored = sum(m * f.count_roots(None, 0) for f, m in poly.sqf_list()[1])
+            assert count_real_roots(coeffs, positive=False) == mirrored - zero_mult
+
+    def test_least_positive_root_brackets_the_wall(self):
+        # 1 - 6x + 11x^2 - 6x^3 = (1-x)(1-2x)(1-3x): smallest root 1/3
+        y = least_positive_root(build_polynomial(bspec(1, 6, 11, 6)))
+        assert Fraction(y) >= Fraction(1, 3) > Fraction(math.nextafter(y, 0))
+        assert least_positive_root(build_polynomial(bspec(1, 2, 1))) == 1.0

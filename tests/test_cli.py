@@ -12,6 +12,8 @@ EXPECT_BAD_UNITARY = 4
 EXPECT_BAD_OCCUPATION = 5
 EXPECT_DIVERGENCE = 6
 
+NINTH_POWER = "1,9,36,84,126,126,84,36,9,1:-"  # (1+x)^9
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -53,6 +55,16 @@ class TestClassifyCommand:
         code, _, err = run(capsys, "classify", "nonsense")
         assert code == EXPECT_PARSE
         assert "error" in err
+
+    def test_label_that_tripped_trial_division(self, capsys):
+        code, doc, _ = run_json(capsys, "classify", "2,1,1,1,1:-")
+        assert code == EXPECT_INVALID
+        assert not doc["valid"] and doc["reason"]
+
+    def test_irreducibility_null_past_factorization_bound(self, capsys):
+        code, doc, _ = run_json(capsys, "classify", NINTH_POWER)
+        assert code == 0
+        assert doc["valid"] and doc["irreducible"] is None
 
 
 class TestDecomposeCommand:
@@ -98,6 +110,12 @@ class TestDecomposeCommand:
     def test_invalid_label_exits_3(self, capsys):
         code, _, _ = run(capsys, "decompose", "1,1,1:-", "--modes", "2")
         assert code == EXPECT_INVALID
+
+    def test_past_factorization_bound(self, capsys):
+        # the gate runs no factorization, which would refuse degree 9
+        code, doc, _ = run_json(capsys, "decompose", NINTH_POWER, "--modes", "2")
+        assert code == 0
+        assert doc["dimension_check"] == {"sum": 2**18, "expected": 2**18}
 
 
 class TestSimulateCommand:
@@ -261,3 +279,26 @@ class TestThermoCommand:
             capsys, "thermo", "1,1,1:-", "--energies", "0", "--beta", "1", "--mu", "0"
         )
         assert code == EXPECT_INVALID
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--energies", "0,1", "--beta", "0", "--mu", "0"),
+            ("--energies", "0,1", "--beta", "inf", "--mu", "0"),
+            ("--energies", "nan", "--beta", "1", "--mu", "0"),
+            ("--energies", "0,1", "--beta", "1", "--mu=-inf"),
+            ("--energies", "0,1", "--beta", "1", "--target-N", "nan"),
+        ],
+    )
+    def test_non_finite_or_non_positive_arguments_exit_2(self, capsys, flags):
+        code, _, err = run(capsys, "thermo", "1,2:-", *flags)
+        assert code == EXPECT_PARSE
+        assert "finite" in err
+
+    def test_repeated_root_label_solves(self, capsys):
+        code, doc, _ = run_json(
+            capsys, "thermo", "1,2,1:+", "--energies", "0,1,2", "--beta", "1",
+            "--target-N", "1",
+        )
+        assert code == 0
+        assert doc["mean_N"] == pytest.approx(1.0, abs=1e-10)

@@ -6,6 +6,7 @@ from fockstat.classify import Kind, StatisticsSpec
 from fockstat.errors import DivergenceError, InvalidStatisticsError
 from fockstat.fock import enumerate_basis, excitation_number, state_energy
 from fockstat.thermo import (
+    SOLVE_TOL,
     EnsembleParams,
     SweepRow,
     canonical_logZ,
@@ -178,6 +179,25 @@ class TestSolveMu:
             mean_occupation(F12, e, EnsembleParams(1e3, mu)) for e in [0.0, 1.0, 2.0]
         )
         assert abs(total - 3.0) <= 1e-10
+
+    @pytest.mark.parametrize("q", [(1, 2, 1), (1, 3, 3, 1), (1, 4, 4)])
+    @pytest.mark.parametrize("modes", [3, 200])
+    def test_repeated_root_labels(self, q, modes):
+        # float Q+(y) cancels to 0 next to a repeated root, below the wall
+        spec = StatisticsSpec(B, q)
+        energies = [2.0 * i / modes for i in range(modes)]
+        target = 0.25 * modes
+        mu = solve_mu(spec, energies, 1.0, target)
+        total = sum(mean_occupation(spec, e, EnsembleParams(1.0, mu)) for e in energies)
+        assert abs(total - target) <= SOLVE_TOL
+
+    def test_repeated_root_next_to_the_wall(self):
+        # (1-y)^2 is about 1e-18 here: float Horner cancels to 0 or below,
+        # while 1 - y itself is exact in floats
+        y = math.exp(-1e-9)
+        rep = thermo_report(StatisticsSpec(B, (1, 2, 1)), [0.0], EnsembleParams(1.0, -1e-9))
+        assert rep.occupations[0] == pytest.approx(2 * y / (1 - y), rel=1e-12)
+        assert rep.logZ == pytest.approx(-2 * math.log(1 - y), rel=1e-12)
 
     def test_target_out_of_range(self):
         with pytest.raises(ValueError):
