@@ -13,14 +13,14 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import (
     InsufficientHorizonError,
     InvalidStatisticsError,
     ResourceGuardError,
 )
-from .symfunc import IntegerSeries, Partition, _det_bareiss, _partitions_of
+from .symfunc import IntegerSeries, _det_bareiss
 
 __all__ = [
     "Kind",
@@ -401,6 +401,11 @@ def single_mode_character(spec: StatisticsSpec, horizon: int) -> IntegerSeries:
     Raises InvalidStatisticsError (carrying the report) for invalid labels.
     """
     require_valid(spec)
+    return _character_series(spec, horizon)
+
+
+def _character_series(spec: StatisticsSpec, horizon: int) -> IntegerSeries:
+    """single_mode_character for a label that has already passed the gate."""
     coeffs = character_coefficients(spec, horizon)
     if any(c < 0 for c in coeffs):
         raise RuntimeError(
@@ -477,70 +482,47 @@ def _neville_tnn(window: list[list[int]]) -> bool:
     return _neville_pass(a) and _neville_pass(at)
 
 
-def _pairs_by_weight(K: int, order: int, smax: int) -> Iterator[tuple[int, Partition, Partition]]:
-    """Candidate minor classes (k, lam, mu), lazily, by ascending total weight.
+def _minor_classes(K: int, order: int, smax: int, lo: int, hi: int, rows: tuple[int, ...],
+                   cols: tuple[int, ...], weight: int, out: list) -> None:
+    """Append (weight, k, -lam, -mu, rows, cols) for every minor class with
+    weight in (lo, hi] that extends rows and cols by later window indices.
 
-    Every k x k window minor, k <= order, is det(a_{lam_i - mu_j - i + j})
-    for a unique partition pair; padding rows multiply the value by a_0 > 0,
-    so each pair is evaluated once at its minimal size.  Pairs whose matrix
-    has a guaranteed zero row or column (series support [0, smax]) are
-    skipped: their minor is 0.  A necessary liveness condition,
-    |lam_1 - mu_1| <= smax, prunes the pairing loop itself.
+    Entry (r, c) is a_{r-c}, so a row r needs a column in [r - smax, r] and a
+    column c a row in [c, c + smax]; anything else has a zero line.  Index r
+    as entry i of rows (from 0) adds r - i >= 0 to |lam| (of cols, to |mu|),
+    so the weight only grows along the walk.
     """
-    max_single = order * K
-    by_weight: list[dict[int, list[tuple[int, ...]]]] = []
-
-    def groups(w: int) -> dict[int, list[tuple[int, ...]]]:
-        while len(by_weight) <= w:
-            ww = len(by_weight)
-            g: dict[int, list[tuple[int, ...]]] = {}
-            for p in _partitions_of(ww, min(ww, K), order):
-                g.setdefault(p[0] if p else 0, []).append(p)
-            by_weight.append(g)
-        return by_weight[w]
-
-    for w in range(0, 2 * max_single + 1):
-        batch: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
-        for wl in range(min(w, max_single), -1, -1):
-            wr = w - wl
-            if wr > max_single:
+    nr, nc = len(rows), len(cols)
+    last = rows[-1] if rows else -1
+    open_col = next((c for c in cols if c > last), None)  # still needs a row
+    stop = K if open_col is None else min(K, open_col + smax)
+    least = weight - max(nr, nc)  # + j: the lightest addition at index j
+    for j in range(max(last, cols[-1]) + 1, stop + 1):
+        if least + j > hi:
+            break
+        for to_rows, to_cols in ((True, False), (False, True), (True, True)):
+            if to_rows and (nr == order or (not to_cols and cols[-1] < j - smax)):
                 continue
-            for first, lams in groups(wl).items():
-                for lp in lams:
-                    for mu1 in range(max(first - smax, 0), first + smax + 1):
-                        for mp in groups(wr).get(mu1, ()):
-                            k = max(len(lp), len(mp), 1)
-                            if lp and lp[0] > K - k + 1:
-                                continue
-                            if mp and mp[0] > K - k + 1:
-                                continue
-                            if _has_dead_line(lp, mp, k, smax):
-                                continue
-                            batch.append((k, lp, mp))
-        batch.sort(key=lambda t: (t[0], tuple(-p for p in t[1]), tuple(-p for p in t[2])))
-        for k, lp, mp in batch:
-            yield k, Partition(lp), Partition(mp)
-
-
-def _has_dead_line(lam: tuple[int, ...], mu: tuple[int, ...], k: int, smax: int) -> bool:
-    lp = lam + (0,) * (k - len(lam))
-    mp = mu + (0,) * (k - len(mu))
-    u = [lp[i] - (i + 1) for i in range(k)]
-    v = [(j + 1) - mp[j] for j in range(k)]
-    for ui in u:
-        if not any(0 <= ui + vj <= smax for vj in v):
-            return True
-    for vj in v:
-        if not any(0 <= ui + vj <= smax for ui in u):
-            return True
-    return False
-
-
-def _witness_indices(lam: Partition, mu: Partition, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    lp, mp = lam.padded(k), mu.padded(k)
-    rows = tuple(sorted(lp[i] + k - (i + 1) for i in range(k)))
-    cols = tuple(sorted(mp[j] + k - (j + 1) for j in range(k)))
-    return rows, cols
+            if to_cols and nc == order:
+                continue
+            r2 = rows + (j,) if to_rows else rows
+            c2 = cols + (j,) if to_cols else cols
+            w2 = weight + (j - nr) * to_rows + (j - nc) * to_cols
+            a, b = len(r2), len(c2)
+            if a == b and to_rows and lo < w2 <= hi:  # square, no open column
+                out.append((
+                    w2, a,
+                    tuple(i - r for i, r in reversed(list(enumerate(r2))) if r != i),
+                    tuple(i - c for i, c in reversed(list(enumerate(c2))) if c != i),
+                    r2, c2,
+                ))
+            # a later column needs a later row; the shorter side needs
+            # abs(a - b) more indices after j; k - n more indices on a side
+            # holding n add at most (k - n) * (K + 1 - k)
+            if a == order or abs(a - b) > K - j or w2 + abs(a - b) * (j + 1 - min(a, b)) > hi:
+                continue
+            if w2 > lo or w2 + max((2 * k - a - b) * (K + 1 - k) for k in range(max(a, b), order + 1)) > lo:
+                _minor_classes(K, order, smax, lo, hi, r2, c2, w2, out)
 
 
 def totally_positive_upto(a: IntegerSeries, order: int) -> TotalPositivityResult:
@@ -548,10 +530,19 @@ def totally_positive_upto(a: IntegerSeries, order: int) -> TotalPositivityResult
     restricted to the index window [0, horizon].
 
     A Neville-elimination certificate settles the (common) fully totally
-    nonnegative case in O(horizon^3) exact operations; otherwise minor
-    classes are scanned in ascending total weight until a negative witness
-    appears.  The scan is exhaustive, so inputs that are nonnegative up to
-    ``order`` but fail at larger minors decide slowly.
+    nonnegative case in O(horizon^3) exact operations.  Otherwise one minor
+    per translation class is scanned.  Shifting the row set R and the column
+    set C together leaves the matrix unchanged; if both contain 0 the minor
+    is a_0 times a smaller one, and row 0 alone is zero off column 0.  So
+    the scan takes the 1 x 1 minor a_0 and the pairs with 0 in C but not in
+    R, which a depth-first walk over the indices generates with zero-line
+    and weight pruning.  Writing R and C as partitions lam and mu (index r
+    as entry i of R, from 0, is a part r - i), the classes are evaluated in
+    weight bands (-1, 2], (2, 4], (4, 8], ..., each sorted by
+    (|lam| + |mu|, k, -lam, -mu), until a negative witness appears: the
+    same first witness as a scan of every minor in that order.  The scan is
+    exhaustive, so inputs that are nonnegative up to ``order`` but fail at
+    larger minors decide slowly.
     """
     if order > TOTAL_POSITIVITY_ORDER_BOUND:
         raise ResourceGuardError(
@@ -566,11 +557,15 @@ def totally_positive_upto(a: IntegerSeries, order: int) -> TotalPositivityResult
     if _neville_tnn(window):
         return TotalPositivityResult(True)
     smax = max(s for s, c in enumerate(a.coeffs) if c != 0)
-    for k, lam, mu in _pairs_by_weight(K, order, smax):
-        lp, mp = lam.padded(k), mu.padded(k)
-        m = [[a.coeff(lp[i] - mp[j] - i + j) for j in range(k)] for i in range(k)]
-        val = _det_bareiss(m)
-        if val < 0:
-            rows, cols = _witness_indices(lam, mu, k)
-            return TotalPositivityResult(False, rows, cols, val)
+    padded = (0,) * K + a.coeffs  # a_n at index K + n, for -K <= n <= K
+    lo, hi = -1, 2
+    while lo < 2 * order * K:
+        band = [(0, 1, (), (), (0,), (0,))] if lo < 0 else []
+        _minor_classes(K, order, smax, lo, hi, (), (0,), 0, band)
+        band.sort()
+        for *_, rows, cols in band:
+            val = _det_bareiss([[padded[K + r - c] for c in cols] for r in rows])
+            if val < 0:
+                return TotalPositivityResult(False, rows, cols, val)
+        lo, hi = hi, 2 * hi
     return TotalPositivityResult(True)

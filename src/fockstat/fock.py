@@ -15,6 +15,7 @@ from typing import Sequence
 
 from .classify import (
     StatisticsSpec,
+    _character_series,
     max_occupation,
     require_valid,
     single_mode_character,
@@ -181,7 +182,7 @@ def decompose(
                 "bosonic-like decompositions are infinite: max_weight is mandatory"
             )
         max_weight = d * spec.order
-    series = single_mode_character(spec, max_weight + d - 1)
+    series = _character_series(spec, max_weight + d - 1)
     entries = schur_expand_product(series, d, max_weight)
     negative = {k: v for k, v in entries.items() if v < 0}
     if negative:

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from fockstat import classify
 from fockstat.classify import Kind, StatisticsSpec
 from fockstat.errors import InvalidStatisticsError, UnsupportedStatisticsError
 from fockstat.fock import (
@@ -120,6 +121,23 @@ class TestDecompose:
     def test_bosonic_needs_weight(self):
         with pytest.raises(ValueError):
             decompose(bspec(1, 2), 2)
+
+    def test_invalid_bosonic_without_weight_fails_the_gate_first(self):
+        with pytest.raises(InvalidStatisticsError):
+            decompose(bspec(1, 1, 1), 2)
+
+    @pytest.mark.parametrize("spec, max_weight", [(fspec(1, 3, 1), None), (bspec(1, 3, 2), 3)])
+    def test_gate_runs_once(self, monkeypatch, spec, max_weight):
+        calls = []
+        count = classify.count_real_roots
+
+        def counting(*args):
+            calls.append(args)
+            return count(*args)
+
+        monkeypatch.setattr(classify, "count_real_roots", counting)
+        decompose(spec, 2, max_weight=max_weight)
+        assert len(calls) == 1
 
     def test_bosonic_rows_only(self):
         dec = decompose(bspec(1, 1), 2, max_weight=3)
