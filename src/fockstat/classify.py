@@ -10,6 +10,8 @@ of the package, so no floating-point root finding is used anywhere.
 from __future__ import annotations
 
 import enum
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -453,33 +455,36 @@ class TotalPositivityResult:
         return self.totally_positive
 
 
-def _neville_pass(m: list[list[Fraction]]) -> bool:
+def _neville_pass(m: list[list[int]]) -> bool:
     """One-sided Neville elimination; True iff it completes with nonnegative
     multipliers and pivots, exchanging only rows that are zero from the
-    pivot column on (pushed to the bottom)."""
+    pivot column on (pushed to the bottom).  Fraction-free: with b, p > 0,
+    row i becomes p row_i - b row_(i-1) over its gcd, a positive multiple of
+    the rational step row_i - (b/p) row_(i-1), so no zero or sign test
+    changes.  A negative b rejects at once, as the rational pass does later
+    in the same column: the entries above it must share its sign up to the
+    pivot.  Rows are rebound, never edited in place."""
     n = len(m)
     for k in range(n):
         live = [row for row in m[k:] if any(row[k:])]
         dead = [row for row in m[k:] if not any(row[k:])]
         m[k:] = live + dead
         for i in range(k + len(live) - 1, k, -1):
-            if m[i][k] == 0:
+            b, p = m[i][k], m[i - 1][k]
+            if b == 0:
                 continue
-            if m[i - 1][k] == 0:
+            if b < 0 or p <= 0:
                 return False
-            mult = m[i][k] / m[i - 1][k]
-            if mult < 0:
-                return False
-            m[i] = [x - mult * y for x, y in zip(m[i], m[i - 1])]
+            row = [p * x - b * y for x, y in zip(m[i], m[i - 1])]
+            g = math.gcd(*row) or 1
+            m[i] = [x // g for x in row]
         if m[k][k] < 0:
             return False
     return True
 
 
 def _neville_tnn(window: list[list[int]]) -> bool:
-    a = [[Fraction(x) for x in row] for row in window]
-    at = [list(col) for col in zip(*a)]
-    return _neville_pass(a) and _neville_pass(at)
+    return _neville_pass(list(window)) and _neville_pass([list(col) for col in zip(*window)])
 
 
 def _minor_classes(K: int, order: int, smax: int, lo: int, hi: int, rows: tuple[int, ...],
@@ -525,12 +530,23 @@ def _minor_classes(K: int, order: int, smax: int, lo: int, hi: int, rows: tuple[
                 _minor_classes(K, order, smax, lo, hi, r2, c2, w2, out)
 
 
+@functools.lru_cache(maxsize=64)
+def _band(K: int, order: int, smax: int, lo: int, hi: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """(rows, cols) of every minor class with weight in (lo, hi], sorted by
+    (weight, k, -lam, -mu); it depends on the series only through smax."""
+    band = [(0, 1, (), (), (0,), (0,))] if lo < 0 else []
+    _minor_classes(K, order, smax, lo, hi, (), (0,), 0, band)
+    band.sort()
+    return tuple((rows, cols) for *_, rows, cols in band)
+
+
 def totally_positive_upto(a: IntegerSeries, order: int) -> TotalPositivityResult:
     """Check every k x k minor, k <= order, of the Toeplitz matrix (a_{i-j})
     restricted to the index window [0, horizon].
 
-    A Neville-elimination certificate settles the (common) fully totally
-    nonnegative case in O(horizon^3) exact operations.  Otherwise one minor
+    A Neville-elimination certificate (Gasca & Pena) settles the (common)
+    fully totally nonnegative case in O(horizon^3) integer operations, run
+    fraction-free with each new row divided by its gcd.  Otherwise one minor
     per translation class is scanned.  Shifting the row set R and the column
     set C together leaves the matrix unchanged; if both contain 0 the minor
     is a_0 times a smaller one, and row 0 alone is zero off column 0.  So
@@ -540,9 +556,11 @@ def totally_positive_upto(a: IntegerSeries, order: int) -> TotalPositivityResult
     as entry i of R, from 0, is a part r - i), the classes are evaluated in
     weight bands (-1, 2], (2, 4], (4, 8], ..., each sorted by
     (|lam| + |mu|, k, -lam, -mu), until a negative witness appears: the
-    same first witness as a scan of every minor in that order.  The scan is
-    exhaustive, so inputs that are nonnegative up to ``order`` but fail at
-    larger minors decide slowly.
+    same first witness as a scan of every minor in that order.  A band's
+    class list depends only on (horizon, order, smax, lo, hi), smax being
+    the last nonzero index of the series, so ``_band`` builds each once and
+    keeps the 64 most recently used.  The scan is exhaustive, so inputs that
+    are nonnegative up to ``order`` but fail at larger minors decide slowly.
     """
     if order > TOTAL_POSITIVITY_ORDER_BOUND:
         raise ResourceGuardError(
@@ -560,10 +578,7 @@ def totally_positive_upto(a: IntegerSeries, order: int) -> TotalPositivityResult
     padded = (0,) * K + a.coeffs  # a_n at index K + n, for -K <= n <= K
     lo, hi = -1, 2
     while lo < 2 * order * K:
-        band = [(0, 1, (), (), (0,), (0,))] if lo < 0 else []
-        _minor_classes(K, order, smax, lo, hi, (), (0,), 0, band)
-        band.sort()
-        for *_, rows, cols in band:
+        for rows, cols in _band(K, order, smax, lo, hi):
             val = _det_bareiss([[padded[K + r - c] for c in cols] for r in rows])
             if val < 0:
                 return TotalPositivityResult(False, rows, cols, val)

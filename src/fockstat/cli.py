@@ -176,9 +176,11 @@ def _load_unitary(args) -> np.ndarray:
             raise LabelError("the beam splitter acts on exactly 2 modes")
         return dynamics.beamsplitter()
     if kind == "haar":
-        if len(args.unitary) != 2:
-            raise LabelError("usage: --unitary haar SEED")
-        return dynamics.haar_unitary(args.modes, int(args.unitary[1]))
+        try:
+            (seed,) = map(int, args.unitary[1:])
+        except ValueError:
+            raise LabelError("usage: --unitary haar SEED") from None
+        return dynamics.haar_unitary(args.modes, seed)
     if kind == "file":
         if len(args.unitary) != 2:
             raise LabelError("usage: --unitary file PATH")
@@ -267,6 +269,14 @@ def _cmd_thermo(args) -> int:
         raise LabelError(
             "--energies, --mu and --target-N must be finite, --beta finite and positive"
         )
+    if args.sweep:
+        try:
+            lo, hi, steps = args.sweep.split(":")
+            rng = (float(lo), float(hi), int(steps))
+        except ValueError as exc:
+            raise LabelError(f"bad sweep {args.sweep!r}: use lo:hi:steps") from exc
+        if rng[2] < 1:
+            raise LabelError(f"bad sweep {args.sweep!r}: steps must be >= 1")
     if args.target_N is not None:
         try:
             mu = thermo.solve_mu(spec, energies, beta, args.target_N)
@@ -276,14 +286,10 @@ def _cmd_thermo(args) -> int:
         mu = args.mu
     params = thermo.EnsembleParams(beta=beta, mu=mu)
     if args.sweep:
-        try:
-            lo, hi, steps = args.sweep.split(":")
-            rng = (float(lo), float(hi), int(steps))
-        except ValueError as exc:
-            raise LabelError(f"bad sweep {args.sweep!r}: use lo:hi:steps") from exc
+        rows = thermo.sweep(spec, rng, params)
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["epsilon", "n", "flag"])
-        for row in thermo.sweep(spec, rng, params):
+        for row in rows:
             writer.writerow([repr(row.epsilon), repr(row.n), row.flag])
         return EXIT_OK
     rep = thermo.thermo_report(spec, energies, params)

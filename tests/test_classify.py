@@ -25,6 +25,7 @@ from fockstat.classify import (
     single_mode_character,
     totally_positive_upto,
 )
+from fockstat.classify import _band, _neville_tnn
 from fockstat.errors import (
     InsufficientHorizonError,
     InvalidStatisticsError,
@@ -253,7 +254,7 @@ _SIGNED_PERMUTATIONS = {
         (perm, (-1) ** sum(perm[i] > perm[j] for i, j in combinations(range(k), 2)))
         for perm in permutations(range(k))
     ]
-    for k in range(1, 5)
+    for k in range(1, 7)
 }
 
 
@@ -319,6 +320,110 @@ def _oracle_specs():
             yield bspec(1, *q)
             for q0 in range(1, 5):
                 yield fspec(q0, *q)
+
+
+def _neville_pass_fraction(m):
+    """Reference: the certificate's Neville elimination over Fractions,
+    dividing by each pivot."""
+    n = len(m)
+    for k in range(n):
+        live = [row for row in m[k:] if any(row[k:])]
+        dead = [row for row in m[k:] if not any(row[k:])]
+        m[k:] = live + dead
+        for i in range(k + len(live) - 1, k, -1):
+            if m[i][k] == 0:
+                continue
+            if m[i - 1][k] == 0:
+                return False
+            mult = m[i][k] / m[i - 1][k]
+            if mult < 0:
+                return False
+            m[i] = [x - mult * y for x, y in zip(m[i], m[i - 1])]
+        if m[k][k] < 0:
+            return False
+    return True
+
+
+def _neville_tnn_fraction(window):
+    a = [[Fraction(x) for x in row] for row in window]
+    at = [list(col) for col in zip(*a)]
+    return _neville_pass_fraction(a) and _neville_pass_fraction(at)
+
+
+def _every_minor_nonnegative(w):
+    """Every minor of the square matrix w by permutation expansion, exact
+    (numpy object arrays of Python ints)."""
+    n = len(w)
+    a = np.array(w, dtype=object)
+    for k in range(1, n + 1):
+        idx = np.array(list(combinations(range(n), k)))
+        m = a[idx[:, None, :, None], idx[None, :, None, :]]  # [rows, cols, k, k]
+        values = sum(
+            sign * np.prod([m[..., i, p] for i, p in enumerate(perm)], axis=0)
+            for perm, sign in _SIGNED_PERMUTATIONS[k]
+        )
+        if (values < 0).any():
+            return False
+    return True
+
+
+def _random_window(rng, n):
+    """An n x n integer matrix: either a product of nonnegative bidiagonal
+    factors (totally nonnegative), perhaps with one entry lowered, or
+    entries of both signs; some get a zero row or column."""
+    if rng.random() < 0.6:
+        w = [[int(i == j) * rng.randint(1, 3) for j in range(n)] for i in range(n)]
+        for _ in range(rng.randint(0, 2 * n) if n > 1 else 0):
+            i, c = rng.randrange(n - 1), rng.randint(1, 2)
+            if rng.random() < 0.5:  # row i+1 += c row i, or row i += c row i+1
+                w[i + 1] = [x + c * y for x, y in zip(w[i + 1], w[i])]
+            else:
+                w[i] = [x + c * y for x, y in zip(w[i], w[i + 1])]
+        if rng.random() < 0.3:
+            w = [list(col) for col in zip(*w)]
+        if rng.random() < 0.3:
+            w[rng.randrange(n)][rng.randrange(n)] -= 1
+    else:
+        w = [[rng.choice((0, 0, 1, 2, 3, -1, -2, rng.randint(-10**6, 10**6))) for _ in range(n)]
+             for _ in range(n)]
+    if rng.random() < 0.2:
+        w[rng.randrange(n)] = [0] * n
+    if rng.random() < 0.2:
+        j = rng.randrange(n)
+        for row in w:
+            row[j] = 0
+    return w
+
+
+class TestNevilleCertificate:
+    """The fraction-free certificate against the Fraction elimination, and
+    its True verdicts against every minor."""
+
+    def test_matches_fraction_reference_on_random_windows(self):
+        rng = random.Random(17)
+        verdicts = {True: 0, False: 0}
+        for _ in range(1500):
+            w = _random_window(rng, rng.randint(1, 9))
+            got = _neville_tnn(w)
+            assert got == _neville_tnn_fraction(w), w
+            if got and len(w) <= 6:
+                assert _every_minor_nonnegative(w), w
+            verdicts[got] += 1
+        assert min(verdicts.values()) > 200
+
+    def test_matches_fraction_reference_on_label_windows(self):
+        horizon = 12
+        specs = list(_oracle_specs()) + [bspec(1, 10, 10), bspec(1, 12, 30), fspec(9, 40, 9)]
+        verdicts = set()
+        for spec in specs:
+            a = character_coefficients(spec, horizon)  # negative for invalid bosonic-like
+            a = a + [0] * (horizon + 1 - len(a))
+            w = [[a[i - j] if i >= j else 0 for j in range(horizon + 1)] for i in range(horizon + 1)]
+            got = _neville_tnn(w)
+            assert got == _neville_tnn_fraction(w), spec.label()
+            verdicts.add(got)
+        assert max(character_coefficients(bspec(1, 10, 10), horizon)) > 10**11
+        assert verdicts == {True, False}
 
 
 class TestTotalPositivity:
@@ -401,6 +506,38 @@ class TestTotalPositivity:
             coeffs = (rng.randint(1, 3),) + tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(horizon))
             got = _as_brute_force(totally_positive_upto(IntegerSeries(coeffs), order))
             assert got == brute_force_tp(coeffs, order), (coeffs, order)
+
+    def test_band_memo_does_not_depend_on_scan_order(self):
+        # one horizon, so series of different smax share (K, order, lo, hi)
+        cases = [
+            ((1, 3, 3, 0, 0, 0, 0), 4),
+            ((1, 1, 0, 1, 0, 0, 0), 3),
+            ((2, 1, 0, 0, 0, 0, 0), 2),
+            ((1, 2, 1, 0, 0, 0, 1), 5),
+            ((1, 4, 4, 1, 0, 0, 0), 6),
+            ((1, 0, 2, 0, 1, 0, 0), 4),
+            ((1, 3, 6, 10, 15, 21, 28), 3),
+            ((1, 3, 3, 0, 0, 0, 0), 6),
+            ((1, 1, 1, 1, 1, 1, 1), 2),
+            ((1, 5, 6, 0, 0, 0, 0), 5),
+            ((1, 2, 3, 0, 0, 0, 0), 4),  # the first case's band keys: cache hits
+            ((1, 2, 1, 0, 1, 2, 0), 4),  # its (K, order) with a larger smax
+            ((1, 3, 3, 0, 0, 0, 0), 2),
+            ((1, 1, 1, 0, 2, 3, 0), 2),
+        ]
+        _band.cache_clear()
+        forward = [_as_brute_force(totally_positive_upto(IntegerSeries(c), k)) for c, k in cases]
+        _band.cache_clear()
+        backward = [_as_brute_force(totally_positive_upto(IntegerSeries(c), k)) for c, k in reversed(cases)]
+        assert _band.cache_info().hits > 0
+        assert forward == backward[::-1] == [brute_force_tp(c, k) for c, k in cases]
+        assert {ok for ok, _ in forward} == {True, False}
+
+    def test_band_memo_is_bounded_and_immutable(self):
+        assert _band.cache_info().maxsize is not None
+        band = _band(6, 4, 2, -1, 2)
+        assert isinstance(band, tuple) and band[0] == ((0,), (0,))
+        assert all(isinstance(rows, tuple) and isinstance(cols, tuple) for rows, cols in band)
 
     def test_exhaustive_scan_leaves_no_reference_cycle(self):
         series = IntegerSeries((1, 3, 3) + (0,) * 6)

@@ -197,6 +197,16 @@ class TestSimulateCommand:
         )
         assert code == EXPECT_PARSE
 
+    @pytest.mark.parametrize("seed", [("abc",), (), ("1", "2")])
+    def test_bad_haar_seed_exits_2(self, capsys, seed):
+        code, out, err = run(
+            capsys, "simulate", "1,1:-", "--modes", "2", "--input", "1,1",
+            "--unitary", "haar", *seed,
+        )
+        assert code == EXPECT_PARSE
+        assert out == ""
+        assert "usage: --unitary haar SEED" in err
+
     def test_unitary_file_round_trip(self, capsys, tmp_path):
         g = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
         path = tmp_path / "u.csv"
@@ -266,6 +276,24 @@ class TestThermoCommand:
         assert lines[0] == "epsilon,n,flag"
         flags = [line.split(",")[2] for line in lines[1:]]
         assert flags == ["divergent", "divergent", "ok", "ok", "ok"]
+
+    @pytest.mark.parametrize("grid", ["0:2:0", "0:2:-3"])
+    def test_sweep_without_steps_exits_2_before_any_output(self, capsys, grid):
+        code, out, err = run(
+            capsys, "thermo", "1,2:+", "--energies", "1", "--beta", "1",
+            "--mu", "0", "--sweep", grid,
+        )
+        assert code == EXPECT_PARSE
+        assert out == ""
+        assert "steps must be >= 1" in err
+
+    def test_sweep_of_invalid_label_writes_no_header(self, capsys):
+        code, out, _ = run(
+            capsys, "thermo", "1,1,1:+", "--energies", "1", "--beta", "1",
+            "--mu", "0", "--sweep", "0:2:3",
+        )
+        assert code == EXPECT_INVALID
+        assert out == ""
 
     def test_target_out_of_range_exits_2(self, capsys):
         code, _, _ = run(
