@@ -133,45 +133,46 @@ def _cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-def _parse_input_state(text: str, spec: StatisticsSpec) -> fock.LabeledState:
+def _parse_input_state(text: str, spec: StatisticsSpec) -> tuple:
+    """Ordinary occupations plus auxiliary labels (None for the default)."""
     parts = text.split(",")
-    aux_text = None
-    if parts and parts[-1].startswith("aux="):
-        aux_text = parts.pop()[len("aux=") :]
+    aux_text = parts.pop()[len("aux=") :] if parts[-1].startswith("aux=") else None
     try:
         ordinary = tuple(int(v) for v in parts)
     except ValueError as exc:
         raise LabelError(f"bad occupation list {text!r}: {exc}") from exc
-    occupied = [k for k in ordinary if k > 0]
     if aux_text is None:
-        if spec.is_fermionic_like:
-            aux = tuple(0 for _ in occupied)
-        else:
-            aux = tuple((0,) * k for k in occupied)
-    else:
-        try:
-            values = [int(v) for v in aux_text.split("/")] if aux_text else []
-        except ValueError as exc:
-            raise LabelError(f"bad auxiliary labels {aux_text!r}: {exc}") from exc
-        if len(values) != len(occupied):
-            raise ValueError(
-                f"need one auxiliary label per occupied mode "
-                f"({len(occupied)} occupied, {len(values)} given)"
-            )
-        if spec.is_fermionic_like:
-            aux = tuple(values)
-        else:
-            if spec.order != 1:
-                raise UnsupportedStatisticsError(
-                    "auxiliary labels are defined for order-one labels only"
-                )
-            aux = tuple(fock.aux_digits(z, spec.q[1], k) for k, z in zip(occupied, values))
-    return fock.LabeledState(ordinary=ordinary, aux=aux)
+        return ordinary, None
+    try:
+        values = [int(v) for v in aux_text.split("/")] if aux_text else []
+    except ValueError as exc:
+        raise LabelError(f"bad auxiliary labels {aux_text!r}: {exc}") from exc
+    occupied = [k for k in ordinary if k > 0]
+    if len(values) != len(occupied):
+        raise ValueError(
+            f"need one auxiliary label per occupied mode "
+            f"({len(occupied)} occupied, {len(values)} given)"
+        )
+    if spec.is_fermionic_like:
+        return ordinary, tuple(values)
+    if spec.order != 1:
+        raise UnsupportedStatisticsError(
+            "auxiliary labels are defined for order-one labels only"
+        )
+    return ordinary, tuple(fock.aux_digits(z, spec.q[1], k) for k, z in zip(occupied, values))
+
+
+def _labeled_json(spec: StatisticsSpec, state) -> dict:
+    lab = fock.to_labeled(spec, state)
+    aux = [list(x) if isinstance(x, tuple) else x for x in lab.aux]
+    return {"state": list(lab.ordinary), "aux": aux}
 
 
 def _load_unitary(args) -> np.ndarray:
     kind = args.unitary[0]
     if kind == "bs":
+        if len(args.unitary) != 1:
+            raise LabelError("usage: --unitary bs")
         if args.modes != 2:
             raise LabelError("the beam splitter acts on exactly 2 modes")
         return dynamics.beamsplitter()
@@ -216,37 +217,24 @@ def _cmd_simulate(args) -> int:
     spec = parse_label(args.label)
     require_valid(spec)
     g = _load_unitary(args)
-    labeled = _parse_input_state(args.input, spec)
-    if len(labeled.ordinary) != args.modes:
-        raise LabelError(
-            f"input lists {len(labeled.ordinary)} modes but --modes is {args.modes}"
-        )
-    state = fock.from_labeled(spec, labeled)
-    vec = dynamics.AmplitudeVector(spec, (state,), np.array([1.0 + 0.0j]))
+    ordinary, aux = _parse_input_state(args.input, spec)
+    if len(ordinary) != args.modes:
+        raise LabelError(f"input lists {len(ordinary)} modes but --modes is {args.modes}")
+    vec = dynamics.AmplitudeVector.basis_state(spec, ordinary, aux)
     out = dynamics.evolve(g, vec)
     probs = dynamics.detection_probabilities(out)
     prob_rows = sorted(probs.items(), key=lambda kv: (-kv[1], kv[0]))
-    amp_rows = []
-    for b, a in zip(out.basis, out.amplitudes):
-        if abs(a) < 1e-14:
-            continue
-        lab = fock.to_labeled(spec, b)
-        amp_rows.append(
-            {
-                "state": list(lab.ordinary),
-                "aux": [list(x) if isinstance(x, tuple) else x for x in lab.aux],
-                "amplitude": _complex_json(complex(a)),
-            }
-        )
+    amp_rows = [
+        {**_labeled_json(spec, b), "amplitude": _complex_json(complex(a))}
+        for b, a in zip(out.basis, out.amplitudes)
+        if abs(a) >= 1e-14
+    ]
     _emit(
         {
             "schema_version": SCHEMA_VERSION,
             "label": spec.label(),
             "modes": args.modes,
-            "input": {
-                "state": list(labeled.ordinary),
-                "aux": [list(x) if isinstance(x, tuple) else x for x in labeled.aux],
-            },
+            "input": _labeled_json(spec, vec.basis[0]),
             "probabilities": [
                 {"state": list(s), "probability": _round_sig(p)}
                 for s, p in prob_rows
@@ -309,6 +297,13 @@ def _cmd_thermo(args) -> int:
     return EXIT_OK
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fockstat",
@@ -326,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="irreducible sector multiplicities")
     p.add_argument("label")
-    p.add_argument("--modes", type=int, required=True)
+    p.add_argument("--modes", type=positive_int, required=True)
     p.add_argument(
         "--max-weight",
         type=int,
@@ -343,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="evolve a state and print detector statistics")
     p.add_argument("label")
-    p.add_argument("--modes", type=int, required=True)
+    p.add_argument("--modes", type=positive_int, required=True)
     p.add_argument(
         "--input",
         required=True,

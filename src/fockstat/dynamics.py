@@ -1,33 +1,29 @@
-"""Explicit unitary-group action on excitation sectors.
+"""Explicit unitary-group action on excitation sectors, one column at a time.
 
 Fermionic sectors act through matrix minors (antisymmetric powers), bosonic
 sectors through permanents (symmetric powers), and order-one generalized
 statistics through conjugation by the hidden-label bijection: the ordinary
 representation acts on particle content while auxiliary labels ride along
-untouched.  Total excitation is conserved, so everything is block
-per-sector; no global Fock matrix is ever materialized.
+untouched.  Every representation is built from one sector column, so
+:func:`evolve` computes only the columns in its input's support.  Total
+excitation is conserved, so everything is block per-sector; no global Fock
+matrix is ever materialized.  Phases act mode by mode, so character traces
+are products of single-mode series.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations
+from functools import cache
+from itertools import chain, islice
 from typing import Sequence
 
 import numpy as np
 
-from .classify import StatisticsSpec
+from .classify import Kind, StatisticsSpec, single_mode_character
 from .errors import ResourceGuardError
-from .fock import (
-    LabeledState,
-    enumerate_basis,
-    excitation_number,
-    excitation_of,
-    from_labeled,
-    sector_states,
-    to_labeled,
-)
+from .fock import LabeledState, excitation_number, from_labeled, sector_states, to_labeled
 
 __all__ = [
     "SectorRep",
@@ -95,92 +91,79 @@ class SectorRep:
     matrix: np.ndarray
 
 
+def _ordinary_column(g: np.ndarray, fermionic: bool, basis, n_in) -> np.ndarray:
+    """<m|G|n_in> for each ordinary occupation m in ``basis``: the minor
+    det g[m|n_in] for fermions, per(g[m|n_in]) / sqrt(m! n_in!) for bosons,
+    with rows and columns repeated per occupation."""
+    rows = lambda occ: [i for i, k in enumerate(occ) for _ in range(k)]
+    cols = rows(n_in)
+    if fermionic:
+        return np.array([np.linalg.det(g[np.ix_(rows(m), cols)]) for m in basis])
+    fact = lambda occ: float(math.prod(math.factorial(k) for k in occ))
+    return np.array(
+        [permanent(g[np.ix_(rows(m), cols)]) / np.sqrt(fact(m) * fact(n_in)) for m in basis]
+    )
+
+
 def fermionic_rep(g: np.ndarray, N: int) -> SectorRep:
-    """Antisymmetric sector: basis indexed by N-subsets of modes,
-    entries are determinants of the corresponding submatrices."""
-    g = check_unitary(g)
-    d = g.shape[0]
-    if not 0 <= N <= d:
-        raise ValueError(f"fermionic sector needs 0 <= N <= d, got N={N}")
-    subsets = list(combinations(range(d), N))
-    m = np.empty((len(subsets), len(subsets)), dtype=complex)
-    for col, s_in in enumerate(subsets):
-        for row, s_out in enumerate(subsets):
-            m[row, col] = np.linalg.det(g[np.ix_(s_out, s_in)])
-    return SectorRep(basis=tuple(subsets), matrix=m)
+    """Antisymmetric sector: basis indexed by N-subsets of modes in
+    combinations order, entries are determinants of the corresponding
+    submatrices; the sector of the ordinary label 1,1:-, reindexed."""
+    rep = sector_rep(StatisticsSpec(Kind.FERMIONIC_LIKE, (1, 1)), g, N)
+    subsets = [tuple(i for i, k in enumerate(b) if k) for b in rep.basis]
+    order = sorted(range(len(subsets)), key=subsets.__getitem__)
+    return SectorRep(tuple(subsets[i] for i in order), rep.matrix[np.ix_(order, order)])
 
 
-def _weak_compositions(total: int, d: int) -> list[tuple[int, ...]]:
-    """Occupation vectors summing to ``total`` in colexicographic order."""
-    if d == 1:
-        return [(total,)]
-    out = []
-    for rest in range(total + 1):
-        for tail in _weak_compositions(rest, d - 1):
-            out.append((total - rest,) + tail)
-    out.sort(key=lambda s: tuple(reversed(s)))
-    return out
+def bosonic_rep(g: np.ndarray, N: int) -> SectorRep:
+    """Symmetric sector: basis indexed by occupation vectors of weight N
+    (colexicographic), entries per(g[m|n]) / sqrt(prod m_i! prod n_j!); the
+    sector of the ordinary label 1,1:+, whose auxiliary labels are trivial."""
+    return sector_rep(StatisticsSpec(Kind.BOSONIC_LIKE, (1, 1)), g, N)
 
 
-def bosonic_rep(g: np.ndarray, N: int, *, guard: int = PERMANENT_GUARD) -> SectorRep:
-    """Symmetric sector: basis indexed by occupation vectors of weight N,
-    entries per(g[m|n]) / sqrt(prod m_i! prod n_j!) with rows and columns
-    repeated per occupation."""
-    g = check_unitary(g)
-    if N < 0:
-        raise ValueError("sector index must be >= 0")
-    if N > guard:
+def _sector(spec: StatisticsSpec, g: np.ndarray, N: int):
+    """Excitation-N basis of an order-one label with unique vacuum, and the
+    column of the sector matrix at a basis state: the ordinary column of its
+    particle content, each output carrying the input's auxiliary labels
+    (flattened in mode order), as the identity on hidden labels."""
+    d, fermionic = g.shape[0], spec.is_fermionic_like
+    if not fermionic and N > PERMANENT_GUARD:  # before enumerating the basis
         raise ResourceGuardError(
-            f"permanent guard exceeded: N={N} > {guard} (override via guard=)"
+            f"permanent guard exceeded: N={N} > PERMANENT_GUARD={PERMANENT_GUARD}"
         )
-    d = g.shape[0]
-    basis = _weak_compositions(N, d)
-    factorials = [float(math.prod(math.factorial(k) for k in occ)) for occ in basis]
-    reps = [
-        [i for i, k in enumerate(occ) for _ in range(k)] for occ in basis
-    ]
-    m = np.empty((len(basis), len(basis)), dtype=complex)
-    for col in range(len(basis)):
-        for row in range(len(basis)):
-            sub = g[np.ix_(reps[row], reps[col])]
-            m[row, col] = permanent(sub) / np.sqrt(factorials[row] * factorials[col])
-    return SectorRep(basis=tuple(basis), matrix=m)
+    basis = tuple(sector_states(spec, d, N))  # raises for invalid labels
+    if not basis:
+        raise ValueError(f"sector N={N} is empty on {d} modes")
+    index = {b: i for i, b in enumerate(basis)}
+    plain = sector_states(StatisticsSpec(spec.kind, (1, 1)), d, N)
 
+    @cache
+    def ordinary(n_in: tuple) -> np.ndarray:
+        return _ordinary_column(g, fermionic, plain, n_in)
 
-def _flat_aux(spec: StatisticsSpec, state: Sequence[int]) -> tuple[int, ...]:
-    lab = to_labeled(spec, state)
-    if spec.is_fermionic_like:
-        return tuple(lab.aux)
-    return tuple(chain.from_iterable(lab.aux))
+    @cache
+    def position(m: tuple, digits: tuple) -> int:
+        it = iter(digits)
+        aux = digits if fermionic else tuple(tuple(islice(it, k)) for k in m if k)
+        return index[from_labeled(spec, LabeledState(m, aux))]
+
+    def column(state) -> np.ndarray:
+        lab = to_labeled(spec, state)
+        digits = lab.aux if fermionic else tuple(chain.from_iterable(lab.aux))
+        out = np.zeros(len(basis), dtype=complex)
+        out[[position(m, digits) for m in plain]] = ordinary(lab.ordinary)
+        return out
+
+    return basis, column
 
 
 def sector_rep(spec: StatisticsSpec, g: np.ndarray, N: int) -> SectorRep:
-    """Excitation-N sector of an order-one statistics with unique vacuum.
-
-    The ordinary sector representation is conjugated through the label
-    bijection; auxiliary labels are acted on by the identity, so the matrix
-    is the ordinary one distributed over equal-label blocks.
-    """
-    g = check_unitary(g)
-    d = g.shape[0]
-    basis = tuple(sector_states(spec, d, N))  # raises for unsupported specs
-    if spec.is_fermionic_like:
-        ordinary = fermionic_rep(g, N)
-        key = lambda state: tuple(
-            i for i, k in enumerate(to_labeled(spec, state).ordinary) if k
-        )
-    else:
-        ordinary = bosonic_rep(g, N)
-        key = lambda state: to_labeled(spec, state).ordinary
-    index = {b: i for i, b in enumerate(ordinary.basis)}
-    ords = [index[key(s)] for s in basis]
-    auxs = [_flat_aux(spec, s) for s in basis]
-    m = np.zeros((len(basis), len(basis)), dtype=complex)
-    for col in range(len(basis)):
-        for row in range(len(basis)):
-            if auxs[row] == auxs[col]:
-                m[row, col] = ordinary.matrix[ords[row], ords[col]]
-    return SectorRep(basis=basis, matrix=m)
+    """Excitation-N sector of an order-one statistics with unique vacuum: the
+    ordinary representation tensored with the identity on auxiliary labels,
+    in the occupation basis, stacked from :func:`_sector` columns."""
+    basis, column = _sector(spec, check_unitary(g), N)
+    return SectorRep(basis, np.column_stack([column(b) for b in basis]))
 
 
 @dataclass(frozen=True)
@@ -236,13 +219,14 @@ class AmplitudeVector:
 
 
 def evolve(g: np.ndarray, vec: AmplitudeVector) -> AmplitudeVector:
-    """Apply the mode transformation to a one-sector state."""
-    rep = sector_rep(vec.spec, g, vec.sector)
-    index = {b: i for i, b in enumerate(rep.basis)}
-    full = np.zeros(len(rep.basis), dtype=complex)
-    for b, a in zip(vec.basis, vec.amplitudes):
-        full[index[b]] = a
-    return AmplitudeVector(vec.spec, rep.basis, rep.matrix @ full)
+    """Apply the mode transformation to a one-sector state: sum a * column(b)
+    over the input's support only, expressed in the full sector basis."""
+    g = check_unitary(g)
+    if len(vec.basis[0]) != g.shape[0]:
+        raise ValueError(f"state has {len(vec.basis[0])} modes, g has {g.shape[0]}")
+    basis, column = _sector(vec.spec, g, vec.sector)
+    out = sum(a * column(b) for b, a in zip(vec.basis, vec.amplitudes))
+    return AmplitudeVector(vec.spec, basis, out)
 
 
 def detection_probabilities(vec: AmplitudeVector) -> dict[tuple[int, ...], float]:
@@ -263,18 +247,28 @@ def character_trace(
     phases: Sequence[float],
     excitation_cutoff: int | None = None,
 ) -> complex:
-    """Trace of the diagonal-phase action: sum over basis states of
+    """Trace of the diagonal-phase action, sum over basis states of
     exp(i * sum_k theta_k f_{n_k}).
 
-    Bosonic-like labels are restricted to total excitation <= cutoff;
-    fermionic-like traces run over the whole (finite) basis.
+    Phases act mode by mode, so the trace is the product over modes of the
+    single-mode series sum_s a_s exp(i theta_k s), a the character
+    coefficients, truncated as a polynomial in the excitation.  Bosonic-like
+    labels are restricted to total excitation <= cutoff; fermionic-like
+    traces run over the whole (finite) basis.
     """
     d = len(phases)
-    basis = enumerate_basis(
-        spec, d, excitation_cutoff=None if spec.is_fermionic_like else excitation_cutoff
-    )
-    total = 0.0 + 0.0j
-    for state in basis:
-        phase = sum(theta * excitation_of(spec, n) for theta, n in zip(phases, state))
-        total += np.exp(1j * phase)
-    return complex(total)
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    if spec.is_fermionic_like:
+        excitation_cutoff = d * spec.order
+    elif excitation_cutoff is None:
+        raise ValueError(
+            "bosonic-like bases are infinite: excitation_cutoff is mandatory"
+        )
+    series = single_mode_character(spec, max(excitation_cutoff, spec.order))
+    a = np.array(series.coeffs, dtype=float)
+    poly = np.ones(1)
+    for theta in phases:
+        poly = np.convolve(poly, a * np.exp(1j * theta * np.arange(len(a))))
+        poly = poly[: excitation_cutoff + 1]
+    return complex(poly.sum())

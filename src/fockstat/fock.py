@@ -176,6 +176,8 @@ def decompose(
     (d * order) and is mandatory for bosonic-like ones.
     """
     require_valid(spec)
+    if max_weight is not None and max_weight < 0:
+        raise ValueError("max_weight must be >= 0")
     if max_weight is None:
         if not spec.is_fermionic_like:
             raise ValueError(

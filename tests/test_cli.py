@@ -207,6 +207,32 @@ class TestSimulateCommand:
         assert out == ""
         assert "usage: --unitary haar SEED" in err
 
+    def test_beamsplitter_takes_no_argument(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", "1,1:+", "--modes", "2", "--input", "1,1",
+            "--unitary", "bs", "extra",
+        )
+        assert code == EXPECT_PARSE
+        assert out == ""
+        assert "usage: --unitary bs" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "1,1:+", "--modes", "-1", "--input", "1", "--unitary", "haar", "7"),
+            ("simulate", "1,1:-", "--modes", "0", "--input", "", "--unitary", "haar", "7"),
+            ("decompose", "1,2:-", "--modes", "0"),
+            ("decompose", "1,2:+", "--modes", "-3", "--max-weight", "2"),
+        ],
+    )
+    def test_modes_below_one_exit_2_at_parse(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        out, err = capsys.readouterr()
+        assert exc.value.code == EXPECT_PARSE
+        assert out == ""
+        assert "argument --modes: must be >= 1" in err
+
     def test_unitary_file_round_trip(self, capsys, tmp_path):
         g = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
         path = tmp_path / "u.csv"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fockstat import dynamics
 from fockstat.classify import Kind, StatisticsSpec
 from fockstat.dynamics import (
     AmplitudeVector,
@@ -18,6 +19,7 @@ from fockstat.dynamics import (
     sector_rep,
 )
 from fockstat.errors import ResourceGuardError, UnsupportedStatisticsError
+from fockstat.fock import enumerate_basis, excitation_of, sector_states
 
 F, B = Kind.FERMIONIC_LIKE, Kind.BOSONIC_LIKE
 F11 = StatisticsSpec(F, (1, 1))
@@ -98,9 +100,17 @@ class TestBosonicRep:
         for state, want in expected.items():
             assert col[rep.basis.index(state)] == pytest.approx(want, abs=1e-12)
 
-    def test_resource_guard(self):
-        with pytest.raises(ResourceGuardError):
-            bosonic_rep(beamsplitter(), 9)
+    def test_resource_guard(self, monkeypatch):
+        # every path meets the guard, before the sector basis is enumerated
+        monkeypatch.setattr(dynamics, "sector_states", lambda *a: pytest.fail("enumerated"))
+        vec = AmplitudeVector.basis_state(B11, (9, 0))
+        for call in (
+            lambda: bosonic_rep(beamsplitter(), 9),
+            lambda: sector_rep(B11, beamsplitter(), 9),
+            lambda: evolve(beamsplitter(), vec),
+        ):
+            with pytest.raises(ResourceGuardError, match="PERMANENT_GUARD=8"):
+                call()
 
 
 class TestSectorRep:
@@ -138,6 +148,20 @@ class TestSectorRep:
         rep = sector_rep(F12, beamsplitter(), 2)
         assert rep.matrix.shape == (4, 4)
         assert np.allclose(rep.matrix, -np.eye(4), atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: fermionic_rep(haar_unitary(2, 0), 3),
+            lambda: bosonic_rep(haar_unitary(2, 0), -1),
+            lambda: sector_rep(F12, haar_unitary(2, 0), 3),
+            lambda: sector_rep(B12, haar_unitary(2, 0), -1),
+        ],
+        ids=["fermionic_rep", "bosonic_rep", "sector_rep-", "sector_rep+"],
+    )
+    def test_empty_sector_rejected(self, call):
+        with pytest.raises(ValueError):
+            call()
 
     def test_rejects_higher_order(self):
         with pytest.raises(UnsupportedStatisticsError):
@@ -234,6 +258,40 @@ class TestEvolve:
                 total = sum(detection_probabilities(out).values())
                 assert total == pytest.approx(1.0, abs=1e-10)
 
+    def test_computes_only_the_input_column(self, monkeypatch):
+        calls = []
+        ryser = dynamics.permanent
+        monkeypatch.setattr(dynamics, "permanent", lambda a: calls.append(1) or ryser(a))
+        out = evolve(haar_unitary(4, 0), AmplitudeVector.basis_state(B11, (2, 1, 1, 1)))
+        assert len(out.basis) == 56  # the whole N=5 sector on 4 modes
+        assert 0 < len(calls) <= 56  # one column: the dense matrix takes 3,136
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.label())
+    def test_matches_sector_matrix_on_superpositions(self, spec):
+        rng = np.random.default_rng(29)
+        for d in (2, 3):
+            for N in (1, 2, 3):
+                if spec.is_fermionic_like and N > d:
+                    continue
+                g = haar_unitary(d, 100 * d + N)
+                basis = sector_states(spec, d, N)
+                picks = rng.choice(len(basis), min(4, len(basis)), replace=False)
+                amps = rng.standard_normal(len(picks)) + 1j * rng.standard_normal(len(picks))
+                amps /= np.linalg.norm(amps)
+                vec = AmplitudeVector(spec, [basis[k] for k in picks], amps)
+                rep = sector_rep(spec, g, N)
+                full = np.zeros(len(rep.basis), dtype=complex)
+                full[picks] = amps
+                out = evolve(g, vec)
+                assert out.basis == rep.basis
+                assert np.allclose(out.amplitudes, rep.matrix @ full, rtol=0, atol=1e-12)
+
+    def test_mode_count_mismatch_rejected(self):
+        vec = AmplitudeVector.basis_state(B11, (1, 1))
+        for d in (1, 3):
+            with pytest.raises(ValueError, match="modes"):
+                evolve(haar_unitary(d, 0), vec)
+
     def test_mixed_sector_rejected(self):
         with pytest.raises(ValueError):
             AmplitudeVector(F11, ((0, 1), (1, 1)), np.array([1.0, 0.0]))
@@ -241,6 +299,28 @@ class TestEvolve:
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):
             AmplitudeVector(F11, ((1, 1),), np.array([0.5]))
+
+
+def basis_sum_trace(spec, phases, cutoff):
+    """Oracle: the trace summed state by state over the (truncated) basis."""
+    basis = enumerate_basis(spec, len(phases), None if spec.is_fermionic_like else cutoff)
+    total = sum(
+        np.exp(1j * sum(t * excitation_of(spec, n) for t, n in zip(phases, state)))
+        for state in basis
+    )
+    return complex(total), len(basis)
+
+
+ORDER_2_3 = [
+    StatisticsSpec(F, (1, 2, 1)),
+    StatisticsSpec(F, (1, 3, 2)),
+    StatisticsSpec(F, (1, 3, 3, 1)),
+    StatisticsSpec(F, (1, 6, 11, 6)),
+    StatisticsSpec(B, (1, 2, 1)),
+    StatisticsSpec(B, (1, 3, 2)),
+    StatisticsSpec(B, (1, 3, 3, 1)),
+    StatisticsSpec(B, (1, 6, 11, 6)),
+]
 
 
 class TestCharacterTrace:
@@ -264,3 +344,19 @@ class TestCharacterTrace:
         total = character_trace(F12, phases)
         single = np.prod([character_trace(F12, [t]) for t in phases])
         assert total == pytest.approx(single)
+
+    @pytest.mark.parametrize("spec", ORDER_2_3, ids=lambda s: s.label())
+    def test_matches_basis_sum(self, spec):
+        # bosonic cutoffs bound the total excitation across modes, which a
+        # product of separately truncated single-mode series would overshoot
+        rng = np.random.default_rng(17)
+        for d in range(1, 5):
+            for cutoff in [None] if spec.is_fermionic_like else range(6):
+                if (spec.is_fermionic_like and sum(spec.q) ** d > 5000) or (
+                    spec.q == (1, 6, 11, 6) and d > 2
+                ):
+                    continue
+                phases = rng.uniform(0, 2 * np.pi, size=d)
+                want, states = basis_sum_trace(spec, phases, cutoff)
+                got = character_trace(spec, phases, cutoff)
+                assert abs(got - want) <= 1e-9 * max(abs(want), states)

@@ -122,6 +122,11 @@ class TestDecompose:
         with pytest.raises(ValueError):
             decompose(bspec(1, 2), 2)
 
+    @pytest.mark.parametrize("spec", [fspec(1, 2), bspec(1, 2)], ids=lambda s: s.label())
+    def test_negative_weight_rejected(self, spec):
+        with pytest.raises(ValueError, match="max_weight must be >= 0"):
+            decompose(spec, 2, max_weight=-1)
+
     def test_invalid_bosonic_without_weight_fails_the_gate_first(self):
         with pytest.raises(InvalidStatisticsError):
             decompose(bspec(1, 1, 1), 2)
