@@ -22,7 +22,7 @@ from .errors import (
     InvalidStatisticsError,
     ResourceGuardError,
 )
-from .symfunc import IntegerSeries, _det_bareiss
+from .symfunc import IntegerSeries
 
 __all__ = [
     "Kind",
@@ -381,12 +381,11 @@ def character_coefficients(spec: StatisticsSpec, horizon: int) -> list[int]:
 
     Not gated on validity: invalid bosonic-like labels can produce negative
     coefficients here, which is exactly what the total-positivity cross-check
-    needs to see.  Fermionic-like labels return the full finite list.
+    needs to see.  Fermionic-like labels return the full finite list;
+    bosonic-like ones a_0..a_horizon, for any horizon >= 0.
     """
     if spec.is_fermionic_like:
         return list(spec.q)
-    if horizon < spec.order:
-        raise ValueError(f"horizon {horizon} below polynomial degree {spec.order}")
     poly = build_polynomial(spec)
     out = [1]
     for n in range(1, horizon + 1):
@@ -540,27 +539,60 @@ def _band(K: int, order: int, smax: int, lo: int, hi: int) -> tuple[tuple[tuple[
     return tuple((rows, cols) for *_, rows, cols in band)
 
 
+def _minor(window: Sequence[Sequence[int]], rows: tuple[int, ...], cols: tuple[int, ...],
+           memo: dict) -> int:
+    """Determinant of window[rows][cols] by cofactor expansion along the
+    first row, skipping zero entries.  Sub-minors of three or more rows are
+    kept in ``memo`` under (rows, cols); 2 x 2 minors are closed inline."""
+    n = len(rows)
+    if n == 1:
+        return window[rows[0]][cols[0]]
+    if n == 2:
+        top, bottom = window[rows[0]], window[rows[1]]
+        c, d = cols
+        return top[c] * bottom[d] - top[d] * bottom[c]
+    key = (rows, cols)
+    val = memo.get(key)
+    if val is None:
+        top, rest = window[rows[0]], rows[1:]
+        val = 0
+        for j, c in enumerate(cols):
+            x = top[c]
+            if x:
+                sub = _minor(window, rest, cols[:j] + cols[j + 1:], memo)
+                val += -x * sub if j & 1 else x * sub
+        memo[key] = val
+    return val
+
+
 def totally_positive_upto(a: IntegerSeries, order: int) -> TotalPositivityResult:
     """Check every k x k minor, k <= order, of the Toeplitz matrix (a_{i-j})
     restricted to the index window [0, horizon].
 
-    A Neville-elimination certificate (Gasca & Pena) settles the (common)
-    fully totally nonnegative case in O(horizon^3) integer operations, run
-    fraction-free with each new row divided by its gcd.  Otherwise one minor
-    per translation class is scanned.  Shifting the row set R and the column
-    set C together leaves the matrix unchanged; if both contain 0 the minor
-    is a_0 times a smaller one, and row 0 alone is zero off column 0.  So
-    the scan takes the 1 x 1 minor a_0 and the pairs with 0 in C but not in
-    R, which a depth-first walk over the indices generates with zero-line
-    and weight pruning.  Writing R and C as partitions lam and mu (index r
-    as entry i of R, from 0, is a part r - i), the classes are evaluated in
-    weight bands (-1, 2], (2, 4], (4, 8], ..., each sorted by
-    (|lam| + |mu|, k, -lam, -mu), until a negative witness appears: the
-    same first witness as a scan of every minor in that order.  A band's
-    class list depends only on (horizon, order, smax, lo, hi), smax being
-    the last nonzero index of the series, so ``_band`` builds each once and
-    keeps the 64 most recently used.  The scan is exhaustive, so inputs that
-    are nonnegative up to ``order`` but fail at larger minors decide slowly.
+    The window is built once from slices of the zero-padded series (row i
+    is a_i, a_{i-1}, ..., a_{i-K}).  A Neville-elimination certificate
+    (Gasca & Pena) settles the (common) fully totally nonnegative case in
+    O(horizon^3) integer operations, run fraction-free with each new row
+    divided by its gcd.  Otherwise one minor per translation class is
+    scanned.  Shifting the row set R and the column set C together leaves
+    the matrix unchanged; if both contain 0 the minor is a_0 times a smaller
+    one, and row 0 alone is zero off column 0.  So the scan takes the 1 x 1
+    minor a_0 and the pairs with 0 in C but not in R, which a depth-first
+    walk over the indices generates with zero-line and weight pruning.
+    Writing R and C as partitions lam and mu (index r as entry i of R, from
+    0, is a part r - i), the classes are evaluated in weight bands
+    (-1, 2], (2, 4], (4, 8], ..., each sorted by (|lam| + |mu|, k, -lam,
+    -mu), until a negative witness appears: the same first witness as a
+    scan of every minor in that order.  A band's class list depends only on
+    (horizon, order, smax, lo, hi), smax being the last nonzero index of the
+    series, so ``_band`` builds each once and keeps the 64 most recently
+    used.  Each minor is expanded along its first row over the window's
+    nonzero entries (at most smax + 1 per row); all minors lie in one
+    window, so they share most of their sub-minors, and one dict keyed by
+    (rows, cols) keeps every sub-minor of three or more rows for the whole
+    scan.  That memo is local to the call and freed when it returns.  The
+    scan is exhaustive, so inputs that are nonnegative up to ``order`` but
+    fail at larger minors decide slowly.
     """
     if order > TOTAL_POSITIVITY_ORDER_BOUND:
         raise ResourceGuardError(
@@ -571,15 +603,16 @@ def totally_positive_upto(a: IntegerSeries, order: int) -> TotalPositivityResult
     K = a.horizon
     if K + 1 < order:
         raise InsufficientHorizonError(required=order - 1, horizon=K)
-    window = [[a.coeff(i - j) for j in range(K + 1)] for i in range(K + 1)]
+    padded = (0,) * K + a.coeffs  # a_n at index K + n, for -K <= n <= K
+    window = [padded[i : i + K + 1][::-1] for i in range(K + 1)]
     if _neville_tnn(window):
         return TotalPositivityResult(True)
     smax = max(s for s, c in enumerate(a.coeffs) if c != 0)
-    padded = (0,) * K + a.coeffs  # a_n at index K + n, for -K <= n <= K
+    memo: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     lo, hi = -1, 2
     while lo < 2 * order * K:
         for rows, cols in _band(K, order, smax, lo, hi):
-            val = _det_bareiss([[padded[K + r - c] for c in cols] for r in rows])
+            val = _minor(window, rows, cols, memo)
             if val < 0:
                 return TotalPositivityResult(False, rows, cols, val)
         lo, hi = hi, 2 * hi

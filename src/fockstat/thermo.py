@@ -24,7 +24,7 @@ from .classify import (
     least_positive_root,
     require_valid,
 )
-from .errors import DivergenceError
+from .errors import DivergenceError, ResourceGuardError
 
 __all__ = [
     "EnsembleParams",
@@ -180,6 +180,7 @@ def solve_mu(
     bracket is expanded geometrically.  Fermionic-like targets must not
     exceed d * order, the supremum of the total excitation; targets at the
     supremum itself resolve to the finite mu reaching it within tolerance.
+    Raises ResourceGuardError when max_iter bisection steps do not reach it.
     """
     require_valid(spec)
     if not energies:
@@ -234,6 +235,7 @@ def solve_mu(
     else:
         raise ValueError("failed to bracket the chemical potential from below")
 
+    value = math.nan
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
         value = total(mid)
@@ -243,8 +245,10 @@ def solve_mu(
             lo = mid
         else:
             hi = mid
-    raise RuntimeError(
-        f"chemical potential did not converge after {max_iter} iterations"
+    raise ResourceGuardError(
+        f"chemical potential did not converge within SOLVE_MAX_ITER={max_iter} "
+        f"bisection steps: |N - target| = {abs(value - target_N):.3g} at the last "
+        f"step, tolerance {tol:g}"
     )
 
 

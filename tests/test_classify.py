@@ -25,13 +25,13 @@ from fockstat.classify import (
     single_mode_character,
     totally_positive_upto,
 )
-from fockstat.classify import _band, _neville_tnn
+from fockstat.classify import _band, _minor, _neville_tnn
 from fockstat.errors import (
     InsufficientHorizonError,
     InvalidStatisticsError,
     ResourceGuardError,
 )
-from fockstat.symfunc import IntegerSeries
+from fockstat.symfunc import IntegerSeries, _det_bareiss
 
 F, B = Kind.FERMIONIC_LIKE, Kind.BOSONIC_LIKE
 
@@ -197,6 +197,11 @@ class TestCharacter:
     def test_ungated_coefficients_can_go_negative(self):
         coeffs = character_coefficients(bspec(1, 1, 1), 6)
         assert coeffs[:4] == [1, 1, 0, -1]
+
+    def test_horizon_below_degree_gives_the_prefix(self):
+        spec = bspec(1, 6, 11, 6)
+        full = character_coefficients(spec, 5)
+        assert [character_coefficients(spec, h) for h in range(3)] == [full[: h + 1] for h in range(3)]
 
     def test_recurrence_inverts_polynomial(self):
         # convolution of Q+ with the series must be the delta sequence
@@ -539,11 +544,63 @@ class TestTotalPositivity:
         assert isinstance(band, tuple) and band[0] == ((0,), (0,))
         assert all(isinstance(rows, tuple) and isinstance(cols, tuple) for rows, cols in band)
 
+    def test_minor_memo_does_not_outlive_a_scan(self):
+        # same horizon, order and smax, so both scans walk the same bands and
+        # ask for the same (rows, cols) sub-minors with other entries
+        first, second = (1, 3, 3, 0, 0, 0, 0), (1, 2, 2, 0, 0, 0, 0)
+        for a, b in ((first, second), (second, first)):
+            got = [_as_brute_force(totally_positive_upto(IntegerSeries(c), 4)) for c in (a, b)]
+            assert got == [brute_force_tp(a, 4), brute_force_tp(b, 4)]
+        assert brute_force_tp(first, 4)[0] != brute_force_tp(second, 4)[0]
+
     def test_exhaustive_scan_leaves_no_reference_cycle(self):
         series = IntegerSeries((1, 3, 3) + (0,) * 6)
         gc.collect()
-        assert totally_positive_upto(series, 4)
+        assert totally_positive_upto(series, 4)  # exhaustive
         assert gc.collect() == 0
+        assert not totally_positive_upto(series, 6)  # a 6 x 6 witness, memo filled
+        assert gc.collect() == 0
+
+
+class TestMinorKernel:
+    """The scan's first-row expansion against fraction-free elimination."""
+
+    def test_matches_bareiss_on_random_matrices(self):
+        rng = random.Random(23)
+        for _ in range(600):
+            n = rng.randint(1, 6)
+            size = rng.choice((3, 100, 10**12))
+            w = [[rng.choice((0, 0, rng.randint(-size, size))) for _ in range(n)] for _ in range(n)]
+            if rng.random() < 0.2:
+                w[rng.randrange(n)] = [0] * n
+            if rng.random() < 0.2:
+                j = rng.randrange(n)
+                for row in w:
+                    row[j] = 0
+            memo = {}
+            full = tuple(range(n))
+            assert _minor(w, full, full, memo) == _det_bareiss(w), w
+            # every sub-minor, sharing the memo of the full one
+            for k in range(1, n + 1):
+                for rows in combinations(full, k):
+                    for cols in combinations(full, k):
+                        sub = [[w[r][c] for c in cols] for r in rows]
+                        assert _minor(w, rows, cols, memo) == _det_bareiss(sub)
+            assert all(len(rows) >= 3 for rows, _ in memo)
+
+    def test_matches_bareiss_on_toeplitz_windows(self):
+        rng = random.Random(29)
+        for _ in range(100):
+            K = rng.randint(3, 8)
+            a = (rng.randint(1, 10**12),) + tuple(rng.choice((0, rng.randint(1, 10**12))) for _ in range(K))
+            window = [[a[i - j] if i >= j else 0 for j in range(K + 1)] for i in range(K + 1)]
+            memo = {}
+            for _ in range(20):
+                k = rng.randint(1, min(6, K + 1))
+                rows = tuple(sorted(rng.sample(range(K + 1), k)))
+                cols = tuple(sorted(rng.sample(range(K + 1), k)))
+                sub = [[window[r][c] for c in cols] for r in rows]
+                assert _minor(window, rows, cols, memo) == _det_bareiss(sub)
 
 
 class TestRootednessPositivityEquivalence:

@@ -92,6 +92,17 @@ class TestDecomposeCommand:
         assert table == {(): 1, (1,): 1, (2,): 1, (3,): 1}
         assert all(len(p) <= 1 for p in table)
 
+    @pytest.mark.parametrize("label, max_weight, expected", [
+        ("1,1:+", "0", {(): 1}),
+        ("1,3,2:+", "1", {(): 1, (1,): 3}),
+    ])
+    def test_bosonic_weight_below_degree(self, capsys, label, max_weight, expected):
+        code, doc, _ = run_json(
+            capsys, "decompose", label, "--modes", "1", "--max-weight", max_weight
+        )
+        assert code == 0
+        assert {tuple(e["partition"]): e["multiplicity"] for e in doc["entries"]} == expected
+
     def test_oracle_check(self, capsys):
         code, doc, _ = run_json(
             capsys, "decompose", "1,2:-", "--modes", "2", "--check-oracle"
@@ -333,6 +344,17 @@ class TestThermoCommand:
             capsys, "thermo", "1,1,1:-", "--energies", "0", "--beta", "1", "--mu", "0"
         )
         assert code == EXPECT_INVALID
+
+    @pytest.mark.parametrize("argv", [
+        ("1,1:+", "--energies", "1,2", "--beta", "1", "--target-N", "1e6"),
+        ("1,2:-", "--energies", "1", "--beta", "1e300", "--target-N", "0.5"),
+    ])
+    def test_bisection_without_convergence_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, "thermo", *argv)
+        assert code == EXPECT_PARSE
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "SOLVE_MAX_ITER=200" in err and "|N - target| = " in err
 
     @pytest.mark.parametrize(
         "flags",

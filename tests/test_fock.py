@@ -18,7 +18,7 @@ from fockstat.fock import (
     state_energy,
     to_labeled,
 )
-from fockstat.symfunc import Partition, schur_dimension
+from fockstat.symfunc import Partition, schur_dimension, schur_expand_oracle
 
 F, B = Kind.FERMIONIC_LIKE, Kind.BOSONIC_LIKE
 
@@ -143,6 +143,18 @@ class TestDecompose:
         monkeypatch.setattr(classify, "count_real_roots", counting)
         decompose(spec, 2, max_weight=max_weight)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("spec", [bspec(1, 1), bspec(1, 2), bspec(1, 3, 2), bspec(1, 2, 1),
+                                      bspec(1, 6, 11, 6), bspec(1, 4, 4)])
+    def test_bosonic_weight_below_degree_matches_oracle(self, spec):
+        # the character recurrence needs no horizon of at least the degree
+        for d in (1, 2, 3):
+            wide = decompose(spec, d, 6).entries
+            for max_weight in range(4):
+                got = decompose(spec, d, max_weight).entries
+                series = classify.single_mode_character(spec, max(max_weight, spec.order))
+                assert got == schur_expand_oracle(series, d, max_weight), (d, max_weight)
+                assert got == {lam: c for lam, c in wide.items() if lam.weight <= max_weight}
 
     def test_bosonic_rows_only(self):
         dec = decompose(bspec(1, 1), 2, max_weight=3)

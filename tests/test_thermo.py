@@ -3,7 +3,7 @@ import math
 import pytest
 
 from fockstat.classify import Kind, StatisticsSpec
-from fockstat.errors import DivergenceError, InvalidStatisticsError
+from fockstat.errors import DivergenceError, InvalidStatisticsError, ResourceGuardError
 from fockstat.fock import enumerate_basis, excitation_number, state_energy
 from fockstat.thermo import (
     SOLVE_TOL,
@@ -131,6 +131,11 @@ class TestMeanOccupation:
 
 
 class TestSolveMu:
+    def test_no_convergence_raises_a_guard_error_with_the_residual(self):
+        # adjacent floats of mu straddle the target, so bisection cannot reach SOLVE_TOL
+        with pytest.raises(ResourceGuardError, match=r"SOLVE_MAX_ITER=200 .*\|N - target\| = [0-9.e+-]+ "):
+            solve_mu(B11, [1.0, 2.0], 1.0, 1e6)
+
     def test_particle_hole_symmetry(self):
         assert solve_mu(F11, [0.0, 1.0], 1.0, 1.0) == pytest.approx(0.5, abs=1e-9)
 
