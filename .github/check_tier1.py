@@ -2,26 +2,45 @@
 
     python .github/check_tier1.py tier1.xml
 
-The order-4 record test fails by design (see README); any other failure or
-error, or that test passing, fails the check.
+The order-4 record test fails by design (see README), naming exactly the
+nine labels the README lists; any other failure or error, another label
+set, or that test passing, fails the check.  Also prints the line count of
+the library sources under src/.
 """
 
+import re
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 EXPECTED = "test_criterion_5_rootedness_positivity_equivalence_order4_as_stated"
+EXPECTED_LABELS = (
+    "1,3,3:- 1,4,5:- 2,4,3:- 2,5,4:- 3,3,1:- 3,4,2:- 3,5,3:- 4,5,2:- 5,4,1:-".split()
+)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def main(path: str) -> int:
+    lines = sum(len(p.read_text().splitlines()) for p in SRC.rglob("*.py"))
+    print(f"src/ line count: {lines}")
     cases = list(ET.parse(path).getroot().iter("testcase"))
     bad = [
-        f"{case.get('classname')}::{case.get('name')}"
+        case
         for case in cases
         if case.find("failure") is not None or case.find("error") is not None
     ]
-    print(f"{len(cases)} tests, {len(bad)} failed or errored: {bad}")
-    if not cases or len(bad) != 1 or not bad[0].endswith("::" + EXPECTED):
+    names = [f"{case.get('classname')}::{case.get('name')}" for case in bad]
+    print(f"{len(cases)} tests, {len(bad)} failed or errored: {names}")
+    if not cases or len(bad) != 1 or not names[0].endswith("::" + EXPECTED):
         print(f"expected exactly one failure: {EXPECTED}")
+        return 1
+    failure = bad[0].find("failure")
+    message = "" if failure is None else failure.get("message", "")
+    # the first line lists every label; pytest's repeat of it is truncated
+    labels = re.findall(r"'(\d+(?:,\d+)*:[+-])'", message.split("\n", 1)[0])
+    print(f"order-4 record test names: {' '.join(labels)}")
+    if sorted(labels) != sorted(EXPECTED_LABELS):
+        print(f"expected it to name exactly: {' '.join(EXPECTED_LABELS)}")
         return 1
     return 0
 

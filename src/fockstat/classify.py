@@ -425,6 +425,8 @@ def excitation_spectrum(spec: StatisticsSpec, cutoff: int | None = None) -> tupl
     mandatory for bosonic-like labels (fermionic spectra are finite and
     emitted whole).
     """
+    if cutoff is not None and cutoff < 0:
+        raise ValueError("excitation_cutoff must be >= 0")
     if spec.is_fermionic_like:
         series = single_mode_character(spec, spec.order)
     else:

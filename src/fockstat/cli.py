@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -133,8 +134,9 @@ def _cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-def _parse_input_state(text: str, spec: StatisticsSpec) -> tuple:
-    """Ordinary occupations plus auxiliary labels (None for the default)."""
+def _parse_input_state(text: str) -> tuple:
+    """Ordinary occupations plus one auxiliary integer per occupied mode
+    (None for the default)."""
     parts = text.split(",")
     aux_text = parts.pop()[len("aux=") :] if parts[-1].startswith("aux=") else None
     try:
@@ -144,28 +146,14 @@ def _parse_input_state(text: str, spec: StatisticsSpec) -> tuple:
     if aux_text is None:
         return ordinary, None
     try:
-        values = [int(v) for v in aux_text.split("/")] if aux_text else []
+        return ordinary, [int(v) for v in aux_text.split("/")] if aux_text else []
     except ValueError as exc:
         raise LabelError(f"bad auxiliary labels {aux_text!r}: {exc}") from exc
-    occupied = [k for k in ordinary if k > 0]
-    if len(values) != len(occupied):
-        raise ValueError(
-            f"need one auxiliary label per occupied mode "
-            f"({len(occupied)} occupied, {len(values)} given)"
-        )
-    if spec.is_fermionic_like:
-        return ordinary, tuple(values)
-    if spec.order != 1:
-        raise UnsupportedStatisticsError(
-            "auxiliary labels are defined for order-one labels only"
-        )
-    return ordinary, tuple(fock.aux_digits(z, spec.q[1], k) for k, z in zip(occupied, values))
 
 
 def _labeled_json(spec: StatisticsSpec, state) -> dict:
     lab = fock.to_labeled(spec, state)
-    aux = [list(x) if isinstance(x, tuple) else x for x in lab.aux]
-    return {"state": list(lab.ordinary), "aux": aux}
+    return {"state": list(lab.ordinary), "aux": list(lab.aux)}
 
 
 def _load_unitary(args) -> np.ndarray:
@@ -217,10 +205,11 @@ def _cmd_simulate(args) -> int:
     spec = parse_label(args.label)
     require_valid(spec)
     g = _load_unitary(args)
-    ordinary, aux = _parse_input_state(args.input, spec)
+    ordinary, values = _parse_input_state(args.input)
     if len(ordinary) != args.modes:
         raise LabelError(f"input lists {len(ordinary)} modes but --modes is {args.modes}")
-    vec = dynamics.AmplitudeVector.basis_state(spec, ordinary, aux)
+    state = fock.from_aux_integers(spec, ordinary, values)
+    vec = dynamics.AmplitudeVector(spec, (state,), [1.0])
     out = dynamics.evolve(g, vec)
     probs = dynamics.detection_probabilities(out)
     prob_rows = sorted(probs.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -304,6 +293,7 @@ def positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fockstat",
@@ -380,13 +370,7 @@ def main(argv: list[str] | None = None) -> int:
     except DivergenceError as exc:
         print(f"divergence: {exc} [code={exc.code}]", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except ResourceGuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except UnsupportedStatisticsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:
+    except (ResourceGuardError, UnsupportedStatisticsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except UnitaryError as exc:

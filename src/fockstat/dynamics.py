@@ -23,7 +23,8 @@ import numpy as np
 
 from .classify import Kind, StatisticsSpec, single_mode_character
 from .errors import ResourceGuardError
-from .fock import LabeledState, excitation_number, from_labeled, sector_states, to_labeled
+from .fock import LabeledState, _join_occupation, _require_order_one, _split_occupation
+from .fock import excitation_number, from_aux_integers, from_labeled, sector_states, to_labeled
 
 __all__ = [
     "SectorRep",
@@ -125,14 +126,15 @@ def bosonic_rep(g: np.ndarray, N: int) -> SectorRep:
 def _sector(spec: StatisticsSpec, g: np.ndarray, N: int):
     """Excitation-N basis of an order-one label with unique vacuum, and the
     column of the sector matrix at a basis state: the ordinary column of its
-    particle content, each output carrying the input's auxiliary labels
+    particle content, each output carrying the input's auxiliary digits
     (flattened in mode order), as the identity on hidden labels."""
+    _require_order_one(spec)  # before enumerating either basis
     d, fermionic = g.shape[0], spec.is_fermionic_like
-    if not fermionic and N > PERMANENT_GUARD:  # before enumerating the basis
+    if not fermionic and N > PERMANENT_GUARD:
         raise ResourceGuardError(
             f"permanent guard exceeded: N={N} > PERMANENT_GUARD={PERMANENT_GUARD}"
         )
-    basis = tuple(sector_states(spec, d, N))  # raises for invalid labels
+    basis = tuple(sector_states(spec, d, N))
     if not basis:
         raise ValueError(f"sector N={N} is empty on {d} modes")
     index = {b: i for i, b in enumerate(basis)}
@@ -145,14 +147,13 @@ def _sector(spec: StatisticsSpec, g: np.ndarray, N: int):
     @cache
     def position(m: tuple, digits: tuple) -> int:
         it = iter(digits)
-        aux = digits if fermionic else tuple(tuple(islice(it, k)) for k in m if k)
-        return index[from_labeled(spec, LabeledState(m, aux))]
+        return index[tuple(_join_occupation(spec, k, tuple(islice(it, k))) for k in m)]
 
     def column(state) -> np.ndarray:
-        lab = to_labeled(spec, state)
-        digits = lab.aux if fermionic else tuple(chain.from_iterable(lab.aux))
+        split = [_split_occupation(spec, n) for n in state]
+        digits = tuple(chain.from_iterable(ds for _, ds in split))
         out = np.zeros(len(basis), dtype=complex)
-        out[[position(m, digits) for m in plain]] = ordinary(lab.ordinary)
+        out[[position(m, digits) for m in plain]] = ordinary(tuple(k for k, _ in split))
         return out
 
     return basis, column
@@ -210,11 +211,9 @@ class AmplitudeVector:
         labels (defaulting to all-zero labels)."""
         ordinary = tuple(int(k) for k in ordinary)
         if aux is None:
-            if spec.is_fermionic_like:
-                aux = tuple(0 for k in ordinary if k > 0)
-            else:
-                aux = tuple((0,) * k for k in ordinary if k > 0)
-        state = from_labeled(spec, LabeledState(ordinary, tuple(aux)))
+            state = from_aux_integers(spec, ordinary)
+        else:
+            state = from_labeled(spec, LabeledState(ordinary, tuple(aux)))
         return cls(spec, (state,), np.array([1.0 + 0.0j]))
 
 
@@ -259,6 +258,8 @@ def character_trace(
     d = len(phases)
     if d < 1:
         raise ValueError("d must be >= 1")
+    if excitation_cutoff is not None and excitation_cutoff < 0:
+        raise ValueError("excitation_cutoff must be >= 0")
     if spec.is_fermionic_like:
         excitation_cutoff = d * spec.order
     elif excitation_cutoff is None:

@@ -4,6 +4,9 @@ States are plain occupation tuples |n_1..n_d>.  For order-one statistics
 with a unique vacuum the basis splits bijectively into ordinary occupations
 plus auxiliary labels; that bijection (and its inverse) lives here and is
 what the explicit representations in :mod:`fockstat.dynamics` conjugate by.
+One private codec, :func:`_split_occupation` and :func:`_join_occupation`,
+owns the auxiliary-digit format for both kinds; every public form of the
+labels is an adapter over it.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ __all__ = [
     "order_one_sector",
     "to_labeled",
     "from_labeled",
+    "from_aux_integers",
     "aux_digits",
 ]
 
@@ -45,9 +49,10 @@ OccupationState = tuple[int, ...]
 class LabeledState:
     """Ordinary occupations plus auxiliary labels, one per occupied mode.
 
-    For fermionic-like order-one labels each auxiliary entry is an integer
-    z in {0..alpha-1}; for bosonic-like ones it is a base-beta digit tuple
-    of length k_s (most significant digit first).
+    Under an order-one label [1,q] every particle carries one base-q digit,
+    so a mode holding k particles carries a digit tuple of length k (most
+    significant first).  Fermionic-like modes hold at most one particle, and
+    their entry is the bare digit, an integer in {0..q-1}.
     """
 
     ordinary: tuple[int, ...]
@@ -220,6 +225,7 @@ def order_one_sector(spec: StatisticsSpec, d: int, N: int) -> tuple[Partition, i
 
 def _require_order_one(spec: StatisticsSpec) -> None:
     if spec.order != 1 or not spec.unique_vacuum:
+        require_valid(spec)  # an invalid label reports that first
         raise UnsupportedStatisticsError(
             "hidden-label construction covers order-one labels with a unique "
             f"vacuum only, got {spec.label()}"
@@ -227,22 +233,39 @@ def _require_order_one(spec: StatisticsSpec) -> None:
 
 
 def _block_start(beta: int, k: int) -> int:
-    """First occupation with excitation k for a bosonic-like order-one label."""
+    """First occupation with excitation k for an order-one label [1,beta]."""
     if beta == 1:
         return k
     return (beta**k - 1) // (beta - 1)
 
 
-def _split_occupation(spec: StatisticsSpec, n: int) -> tuple[int, tuple[int, ...] | int]:
+def _split_occupation(spec: StatisticsSpec, n: int) -> tuple[int, tuple[int, ...]]:
+    """Particle count k of a single-mode occupation and its k base-q
+    auxiliary digits, most significant first (k <= 1 for fermionic-like)."""
     q = spec.q[1]
-    if spec.is_fermionic_like:
-        if n > q:
-            raise ValueError(f"occupation {n} exceeds the exclusion bound p={q}")
-        return (0, 0) if n == 0 else (1, n - 1)
+    if n < 0:
+        raise ValueError("occupation must be non-negative")
+    if spec.is_fermionic_like and n > q:
+        raise ValueError(f"occupation {n} exceeds the exclusion bound p={q}")
     k = 0
     while _block_start(q, k + 1) <= n:
         k += 1
     return k, aux_digits(n - _block_start(q, k), q, k)
+
+
+def _join_occupation(spec: StatisticsSpec, k: int, digits: Sequence[int]) -> int:
+    """Inverse of :func:`_split_occupation`; rejects malformed labels."""
+    q = spec.q[1]
+    if k < 0:
+        raise ValueError("ordinary occupations must be non-negative")
+    if spec.is_fermionic_like and k > 1:
+        raise ValueError(f"fermionic ordinary occupations are 0/1, got {k}")
+    digits = tuple(int(v) for v in digits)
+    if len(digits) != k:
+        raise ValueError(f"digit string {digits} must have length k={k}")
+    if any(not 0 <= v < q for v in digits):
+        raise ValueError(f"auxiliary digits {digits} outside base {q}")
+    return _block_start(q, k) + sum(v * q**i for i, v in enumerate(reversed(digits)))
 
 
 def aux_digits(z: int, q: int, k: int) -> tuple[int, ...]:
@@ -256,54 +279,41 @@ def to_labeled(spec: StatisticsSpec, state: Sequence[int]) -> LabeledState:
     """Bijective split of an occupation state into ordinary occupations and
     auxiliary labels (one label per occupied mode, in mode order)."""
     _require_order_one(spec)
-    ordinary: list[int] = []
-    aux: list = []
-    for n in state:
-        if n < 0:
-            raise ValueError("occupation must be non-negative")
-        k, label = _split_occupation(spec, n)
-        ordinary.append(k)
-        if k > 0:
-            aux.append(label)
-    return LabeledState(ordinary=tuple(ordinary), aux=tuple(aux))
+    split = [_split_occupation(spec, n) for n in state]
+    aux = (digits[0] if spec.is_fermionic_like else digits for k, digits in split if k)
+    return LabeledState(tuple(k for k, _ in split), tuple(aux))
+
+
+def _join_state(
+    spec: StatisticsSpec, ordinary: Sequence[int], labels: Sequence, digits_of
+) -> OccupationState:
+    """Occupation state from ordinary occupations and one label per occupied
+    mode, ``digits_of(label, k)`` giving that mode's auxiliary digits."""
+    _require_order_one(spec)
+    occupied = sum(k > 0 for k in ordinary)
+    if occupied != len(labels):
+        raise ValueError(
+            f"need exactly one auxiliary label per occupied mode "
+            f"({occupied} occupied, {len(labels)} labels)"
+        )
+    it = iter(labels)
+    return tuple(
+        _join_occupation(spec, k, digits_of(next(it), k) if k > 0 else ()) for k in ordinary
+    )
 
 
 def from_labeled(spec: StatisticsSpec, labeled: LabeledState) -> OccupationState:
     """Inverse of :func:`to_labeled`; rejects malformed labels."""
-    _require_order_one(spec)
-    q = spec.q[1]
-    occupied = [k for k in labeled.ordinary if k > 0]
-    if len(occupied) != len(labeled.aux):
-        raise ValueError(
-            f"need exactly one auxiliary label per occupied mode "
-            f"({len(occupied)} occupied, {len(labeled.aux)} labels)"
-        )
-    out: list[int] = []
-    it = iter(labeled.aux)
-    for k in labeled.ordinary:
-        if k < 0:
-            raise ValueError("ordinary occupations must be non-negative")
-        if k == 0:
-            out.append(0)
-            continue
-        label = next(it)
-        if spec.is_fermionic_like:
-            if k != 1:
-                raise ValueError(f"fermionic ordinary occupations are 0/1, got {k}")
-            z = int(label)
-            if not 0 <= z < q:
-                raise ValueError(f"auxiliary label {z} outside 0..{q - 1}")
-            out.append(1 + z)
-        else:
-            digits = tuple(int(v) for v in label)
-            if len(digits) != k:
-                raise ValueError(
-                    f"digit string {digits} must have length k={k}"
-                )
-            if any(not 0 <= v < q for v in digits):
-                raise ValueError(f"digits {digits} outside base {q}")
-            z = 0
-            for v in digits:
-                z = z * q + v
-            out.append(_block_start(q, k) + z)
-    return tuple(out)
+    as_digits = (lambda a, k: (a,)) if spec.is_fermionic_like else (lambda a, k: a)
+    return _join_state(spec, labeled.ordinary, labeled.aux, as_digits)
+
+
+def from_aux_integers(
+    spec: StatisticsSpec, ordinary: Sequence[int], values: Sequence[int] | None = None
+) -> OccupationState:
+    """Occupation state from ordinary occupations and one integer z per
+    occupied mode, 0 <= z < q**k, whose k base-q digits are that mode's
+    auxiliary labels (all zero when ``values`` is omitted)."""
+    if values is None:
+        values = [0] * sum(k > 0 for k in ordinary)
+    return _join_state(spec, ordinary, values, lambda z, k: aux_digits(z, spec.q[1], k))

@@ -213,18 +213,17 @@ def solve_mu(
     else:
         wall = e_min + math.log(least_positive_root(build_polynomial(spec))) / beta
         hi = wall - max(1e-9, 1e-9 * abs(wall))
+        # only divergence moves hi off the wall: N rises with mu, so a finite
+        # undershoot this close to the wall is an unreachable target
+        reached = False
         for _ in range(60):
             try:
-                if total(hi) >= shifted:
-                    break
+                reached = total(hi) >= shifted
+                break
             except DivergenceError:
-                pass
-            hi = wall - 2 * (wall - hi)
-        else:
+                hi = wall - 2 * (wall - hi)
+        if not reached:
             raise ValueError(f"target_N={target_N} unreachable below divergence")
-        # hi may have drifted below the wall far enough to undershoot; walk back
-        while total(hi) < shifted and wall - hi > 1e-300:
-            hi = wall - (wall - hi) / 2
         lo = hi - 1.0
     step = 1.0
     for _ in range(300):

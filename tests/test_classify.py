@@ -229,6 +229,11 @@ class TestExcitationSpectrum:
         with pytest.raises(ValueError):
             excitation_spectrum(bspec(1, 2))
 
+    @pytest.mark.parametrize("spec", [fspec(1, 2), bspec(1, 2)])
+    def test_negative_cutoff_rejected(self, spec):
+        with pytest.raises(ValueError, match="excitation_cutoff must be >= 0"):
+            excitation_spectrum(spec, -1)
+
     def test_length_matches_exclusion_bound(self):
         for spec in [fspec(1, 1), fspec(1, 2), fspec(1, 3, 1), fspec(2, 2)]:
             assert len(excitation_spectrum(spec)) == sum(spec.q)

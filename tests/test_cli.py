@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fockstat.cli import main
+from fockstat.cli import build_parser, main
 
 EXPECT_PARSE = 2
 EXPECT_INVALID = 3
@@ -201,6 +201,16 @@ class TestSimulateCommand:
         )
         assert code == EXPECT_BAD_OCCUPATION
 
+    @pytest.mark.parametrize("label,aux", [("1,3,2:+", "aux=5"), ("1,3,1:-", "aux=9")])
+    def test_aux_on_higher_order_label_exits_2(self, capsys, label, aux):
+        # the order check runs before any range check on the auxiliary values
+        code, out, err = run(
+            capsys, "simulate", label, "--modes", "2", "--input", f"1,0,{aux}",
+            "--unitary", "bs",
+        )
+        assert code == EXPECT_PARSE
+        assert out == "" and "order-one" in err
+
     def test_mode_count_mismatch_exits_2(self, capsys):
         code, _, _ = run(
             capsys, "simulate", "1,1:-", "--modes", "2", "--input", "1,1,0",
@@ -378,3 +388,11 @@ class TestThermoCommand:
         )
         assert code == 0
         assert doc["mean_N"] == pytest.approx(1.0, abs=1e-10)
+
+
+def test_parser_built_once(capsys):
+    assert build_parser() is build_parser()
+    # a reused parser keeps no state between calls
+    assert run(capsys, "classify", "1,1:-")[0] == 0
+    assert run(capsys, "classify", "1,1,1:-")[0] == EXPECT_INVALID
+    assert run(capsys, "classify", "1,1:-")[0] == 0

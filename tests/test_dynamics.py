@@ -18,7 +18,11 @@ from fockstat.dynamics import (
     permanent,
     sector_rep,
 )
-from fockstat.errors import ResourceGuardError, UnsupportedStatisticsError
+from fockstat.errors import (
+    InvalidStatisticsError,
+    ResourceGuardError,
+    UnsupportedStatisticsError,
+)
 from fockstat.fock import enumerate_basis, excitation_of, sector_states
 
 F, B = Kind.FERMIONIC_LIKE, Kind.BOSONIC_LIKE
@@ -166,6 +170,15 @@ class TestSectorRep:
     def test_rejects_higher_order(self):
         with pytest.raises(UnsupportedStatisticsError):
             sector_rep(StatisticsSpec(F, (1, 3, 1)), beamsplitter(), 1)
+
+    def test_rejects_higher_order_before_enumerating(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "sector_states", lambda *a: pytest.fail("enumerated"))
+        for spec in (StatisticsSpec(F, (1, 3, 1)), StatisticsSpec(B, (1, 3, 2))):
+            with pytest.raises(UnsupportedStatisticsError):
+                sector_rep(spec, beamsplitter(), 1)
+        # an invalid label still reports its invalidity first
+        with pytest.raises(InvalidStatisticsError):
+            sector_rep(StatisticsSpec(F, (1, 1, 1)), beamsplitter(), 1)
 
     @pytest.mark.parametrize("N", [1, 2, 3])
     def test_tensor_structure_via_spectrum(self, N):
@@ -331,6 +344,11 @@ class TestCharacterTrace:
 
     def test_trace_of_identity_is_dimension(self):
         assert character_trace(F12, [0.0, 0.0]) == pytest.approx(9.0)
+
+    @pytest.mark.parametrize("spec", [F12, B12])
+    def test_negative_cutoff_rejected(self, spec):
+        with pytest.raises(ValueError, match="excitation_cutoff must be >= 0"):
+            character_trace(spec, [0.1, 0.2], excitation_cutoff=-1)
 
     def test_truncated_geometric(self):
         theta = 1.3

@@ -2,6 +2,7 @@ import math
 from itertools import product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from fockstat import classify
 from fockstat.classify import Kind, StatisticsSpec
@@ -12,6 +13,7 @@ from fockstat.fock import (
     enumerate_basis,
     excitation_number,
     excitation_of,
+    from_aux_integers,
     from_labeled,
     order_one_sector,
     sector_states,
@@ -206,6 +208,70 @@ class TestOrderOneSector:
                 if lam.weight <= 4:
                     predicted[lam] = mult
             assert dec.entries == predicted
+
+
+order_one_states = st.builds(
+    lambda kind, q, occupations: (
+        StatisticsSpec(kind, (1, q)),
+        tuple(n % (q + 1) if kind is F else n for n in occupations),
+    ),
+    st.sampled_from([F, B]),
+    st.integers(1, 4),
+    st.lists(st.integers(0, 60), min_size=1, max_size=4),
+)
+
+
+class TestLabelCodec:
+    @given(order_one_states)
+    def test_round_trip(self, spec_state):
+        spec, state = spec_state
+        q = spec.q[1]
+        lab = to_labeled(spec, state)
+        assert from_labeled(spec, lab) == state
+        # one base-q digit per particle; the fermionic entry is the bare digit
+        strings = [(a,) if spec.is_fermionic_like else a for a in lab.aux]
+        assert [len(x) for x in strings] == [k for k in lab.ordinary if k]
+        assert all(type(v) is int and 0 <= v < q for x in strings for v in x)
+        values = [sum(v * q**i for i, v in enumerate(reversed(x))) for x in strings]
+        assert from_aux_integers(spec, lab.ordinary, values) == state
+
+    @given(order_one_states, st.data())
+    def test_rejects_malformed_labels(self, spec_state, data):
+        spec, state = spec_state
+        q, fermionic = spec.q[1], spec.is_fermionic_like
+        lab = to_labeled(spec, state)
+        ordinary, aux = list(lab.ordinary), list(lab.aux)
+        occupied = [i for i, k in enumerate(ordinary) if k]
+        bad = [
+            (ordinary, aux + [0 if fermionic else (0,)]),  # one label too many
+            ([-1] + ordinary[1:], aux[1:] if ordinary[0] else aux),  # negative k
+        ]
+        if occupied:
+            j = data.draw(st.integers(0, len(occupied) - 1))
+            i = occupied[j]
+            with_label = lambda a: aux[:j] + [a] + aux[j + 1 :]
+            bad.append((ordinary, aux[:j] + aux[j + 1 :]))  # one label missing
+            digit = data.draw(st.sampled_from([-1, q]))
+            if fermionic:
+                bad.append((ordinary, with_label(digit)))  # digit outside base q
+                bad.append((ordinary[:i] + [2] + ordinary[i + 1 :], aux))  # k > 1
+            else:
+                bad.append((ordinary, with_label(aux[j][:-1] + (digit,))))
+                bad.append((ordinary, with_label(aux[j] + (0,))))  # length k + 1
+        for bad_ordinary, bad_aux in bad:
+            with pytest.raises(ValueError):
+                from_labeled(spec, LabeledState(tuple(bad_ordinary), tuple(bad_aux)))
+
+    def test_aux_integers_default_to_zero_digits(self):
+        assert from_aux_integers(bspec(1, 2), (2, 0, 1)) == (3, 0, 1)
+        assert from_aux_integers(fspec(1, 3), (1, 0, 1)) == (1, 0, 1)
+        assert from_aux_integers(bspec(1, 2), (2, 0, 1), [3, 1]) == (6, 0, 2)
+
+    def test_aux_integers_check_the_order_first(self):
+        # an order-two label is unsupported whatever its auxiliary values
+        for spec in (fspec(1, 3, 1), bspec(1, 3, 2)):
+            with pytest.raises(UnsupportedStatisticsError):
+                from_aux_integers(spec, (1, 0), [9, 9])
 
 
 class TestLabelBijection:

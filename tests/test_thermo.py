@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from fockstat import thermo
 from fockstat.classify import Kind, StatisticsSpec
 from fockstat.errors import DivergenceError, InvalidStatisticsError, ResourceGuardError
 from fockstat.fock import enumerate_basis, excitation_number, state_energy
@@ -203,6 +204,20 @@ class TestSolveMu:
         rep = thermo_report(StatisticsSpec(B, (1, 2, 1)), [0.0], EnsembleParams(1.0, -1e-9))
         assert rep.occupations[0] == pytest.approx(2 * y / (1 - y), rel=1e-12)
         assert rep.logZ == pytest.approx(-2 * math.log(1 - y), rel=1e-12)
+
+    def test_bosonic_bracket_evaluations(self, monkeypatch):
+        # only divergence moves the upper bracket off the wall: one finite
+        # evaluation settles it, reaching or not
+        calls = []
+        total = thermo._total_occupation
+        monkeypatch.setattr(thermo, "_total_occupation", lambda *a: calls.append(a) or total(*a))
+        energies = [2.0 * i / 200 for i in range(200)]
+        solve_mu(B11, energies, 1.0, 50.0)
+        assert len(calls) == 41
+        calls.clear()
+        with pytest.raises(ValueError, match="unreachable below divergence"):
+            solve_mu(B11, [1.0, 2.0], 1.0, 1e12)
+        assert len(calls) == 1
 
     def test_target_out_of_range(self):
         with pytest.raises(ValueError):
