@@ -5,7 +5,8 @@
 The order-4 record test fails by design (see README), naming exactly the
 nine labels the README lists; any other failure or error, another label
 set, or that test passing, fails the check.  Also prints the line count of
-the library sources under src/.
+the library sources under src/, the suite's wall time and its three
+slowest tests, none of which changes the verdict.
 """
 
 import re
@@ -23,7 +24,12 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 def main(path: str) -> int:
     lines = sum(len(p.read_text().splitlines()) for p in SRC.rglob("*.py"))
     print(f"src/ line count: {lines}")
-    cases = list(ET.parse(path).getroot().iter("testcase"))
+    root = ET.parse(path).getroot()
+    cases = list(root.iter("testcase"))
+    wall = sum(float(suite.get("time", 0)) for suite in root.iter("testsuite"))
+    print(f"Tier-1 wall time: {wall:.1f} s")
+    for case in sorted(cases, key=lambda c: -float(c.get("time", 0)))[:3]:
+        print(f"  {float(case.get('time', 0)):6.2f} s  {case.get('classname')}::{case.get('name')}")
     bad = [
         case
         for case in cases

@@ -25,7 +25,7 @@ from fockstat.classify import (
     single_mode_character,
     totally_positive_upto,
 )
-from fockstat.classify import _band, _minor, _neville_tnn
+from fockstat.classify import _band, _minor, _minor_classes, _neville_tnn
 from fockstat.errors import (
     InsufficientHorizonError,
     InvalidStatisticsError,
@@ -154,7 +154,7 @@ class TestIrreducibility:
         assert is_irreducible_statistics(fspec(1, 1, 1, 1, 5)) is True
 
     def test_degree_guard(self):
-        with pytest.raises(ResourceGuardError):
+        with pytest.raises(ResourceGuardError, match=r"degree=9 > FACTORIZATION_DEGREE_BOUND=8$"):
             is_irreducible_statistics(fspec(*([1] * 10)))
 
     def test_report_past_the_guard_leaves_irreducibility_open(self):
@@ -317,6 +317,40 @@ def brute_force_tp(coeffs, order):
     return False, (rows, cols, int(values[negative[0]]))
 
 
+def _minor_polynomial(rows, cols, smax):
+    """The minor of (a_{r-c}) as a polynomial in a_0..a_smax, by
+    permutations: frozenset of (sorted index tuple, coefficient)."""
+    poly = {}
+    for perm, sign in _SIGNED_PERMUTATIONS[len(rows)]:
+        idx = [r - cols[p] for r, p in zip(rows, perm)]
+        if all(0 <= s <= smax for s in idx):
+            mono = tuple(sorted(idx))
+            poly[mono] = poly.get(mono, 0) + sign
+    return frozenset((mono, v) for mono, v in poly.items() if v)
+
+
+def _full_walk(K, order, smax):
+    """(lo, hi, every minor class of the band in scan order), band by band,
+    before any class is dropped."""
+    lo, hi = -1, 2
+    while lo < 2 * order * K:
+        band = [(0, 1, (), (), (0,), (0,))] if lo < 0 else []
+        _minor_classes(K, order, smax, lo, hi, (), (0,), 0, band)
+        yield lo, hi, [(rows, cols) for *_, rows, cols in sorted(band)]
+        lo, hi = hi, 2 * hi
+
+
+def _first_negative_in_full_walk(coeffs, order):
+    K = len(coeffs) - 1
+    smax = max(s for s, c in enumerate(coeffs) if c)
+    for _, _, classes in _full_walk(K, order, smax):
+        for rows, cols in classes:
+            value = _det_bareiss([[coeffs[r - c] if r >= c else 0 for c in cols] for r in rows])
+            if value < 0:
+                return False, (rows, cols, value)
+    return True, None
+
+
 def _as_brute_force(res):
     if res:
         return True, None
@@ -473,7 +507,7 @@ class TestTotalPositivity:
         )
 
     def test_order_guard(self):
-        with pytest.raises(ResourceGuardError):
+        with pytest.raises(ResourceGuardError, match=r"order=7 > TOTAL_POSITIVITY_ORDER_BOUND=6$"):
             totally_positive_upto(IntegerSeries((1, 1, 1, 1, 1, 1, 1, 1)), 7)
 
     def test_window_too_small(self):
@@ -545,9 +579,59 @@ class TestTotalPositivity:
 
     def test_band_memo_is_bounded_and_immutable(self):
         assert _band.cache_info().maxsize is not None
-        band = _band(6, 4, 2, -1, 2)
-        assert isinstance(band, tuple) and band[0] == ((0,), (0,))
-        assert all(isinstance(rows, tuple) and isinstance(cols, tuple) for rows, cols in band)
+        for key in ((6, 4, 2, -1, 2), (6, 4, 2, 4, 8), (8, 4, 3, 8, 16), (6, 5, 6, 4, 8)):
+            band = _band(*key)
+            assert isinstance(band, tuple) and band
+            assert all(isinstance(rows, tuple) and isinstance(cols, tuple) for rows, cols in band)
+            # every kept class can go negative, and no two kept classes agree
+            polys = [_minor_polynomial(rows, cols, key[2]) for rows, cols in band]
+            assert all(any(v < 0 for _, v in poly) for poly in polys), key
+            assert len(set(polys)) == len(polys), key
+
+    @pytest.mark.parametrize("K, order, smax", [(8, 4, 2), (12, 4, 2)])
+    def test_compiled_bands_keep_under_a_tenth_of_the_classes(self, K, order, smax):
+        total = kept = 0
+        for lo, hi, classes in _full_walk(K, order, smax):
+            band = _band(K, order, smax, lo, hi)
+            assert set(band) <= set(classes)
+            assert sorted(band, key=classes.index) == list(band)
+            total += len(classes)
+            kept += len(band)
+        assert 0 < 10 * kept < total
+
+    def test_witness_is_the_first_negative_class_of_the_full_walk(self):
+        # sparse random series, and up to horizon 8 the coefficients of a
+        # real-rooted polynomial (a Polya frequency sequence) with one moved,
+        # whose first negative minor can be large; an exhaustive full walk
+        # past horizon 8 takes seconds, so a series that passes there is
+        # only counted
+        rng = random.Random(37)
+        seen = {True: 0, False: 0, "unchecked": 0}
+        sizes = set()
+        for _ in range(300):
+            K = rng.randint(3, 12)
+            order = rng.randint(2, min(6, K + 1))
+            if K > 8 or rng.random() < 0.4:
+                values = rng.choice(((0, 0, 1, 2, 3), (0, 1, 1, 2, 5, 9), (0, 0, 0, 1, 10**6)))
+                coeffs = (rng.randint(1, 3),) + tuple(rng.choice(values) for _ in range(K))
+            else:
+                poly = [1]
+                for _ in range(rng.randint(1, 4)):
+                    r = rng.randint(1, 3)
+                    poly = [x + r * y for x, y in zip(poly + [0], [0] + poly)]
+                s = rng.randrange(len(poly))
+                poly[s] = max(poly[s] + rng.choice((-2, -1, 1, 2)), int(s == 0))
+                coeffs = tuple(poly) + (0,) * (K + 1 - len(poly))
+            got = _as_brute_force(totally_positive_upto(IntegerSeries(coeffs), order))
+            if got[0] and K > 8:
+                seen["unchecked"] += 1
+                continue
+            assert got == _first_negative_in_full_walk(coeffs, order), (coeffs, order)
+            seen[got[0]] += 1
+            if not got[0]:
+                sizes.add(len(got[1][0]))
+        assert seen[False] > 150 and seen[True] > 50, seen
+        assert sizes == {2, 3, 4, 5, 6}
 
     def test_minor_memo_does_not_outlive_a_scan(self):
         # same horizon, order and smax, so both scans walk the same bands and
