@@ -4,9 +4,11 @@
 
 The order-4 record test fails by design (see README), naming exactly the
 nine labels the README lists; any other failure or error, another label
-set, or that test passing, fails the check.  Also prints the line count of
-the library sources under src/, the suite's wall time and its three
-slowest tests, none of which changes the verdict.
+set, that test passing, or any skipped test fails the check.  CI installs
+the test extras, so a skip means an oracle such as a sympy importorskip
+silently dropped out.  Also prints the line count of the library sources
+under src/, the suite's wall time and its three slowest tests, none of
+which changes the verdict.
 """
 
 import re
@@ -37,6 +39,15 @@ def main(path: str) -> int:
     ]
     names = [f"{case.get('classname')}::{case.get('name')}" for case in bad]
     print(f"{len(cases)} tests, {len(bad)} failed or errored: {names}")
+    skipped = [
+        f"{case.get('classname')}::{case.get('name')}"
+        for case in cases
+        if case.find("skipped") is not None
+    ]
+    print(f"{len(skipped)} skipped: {skipped}")
+    if skipped:
+        print("expected no skipped tests")
+        return 1
     if not cases or len(bad) != 1 or not names[0].endswith("::" + EXPECTED):
         print(f"expected exactly one failure: {EXPECTED}")
         return 1

@@ -167,6 +167,8 @@ def _load_unitary(args) -> np.ndarray:
     if kind == "haar":
         try:
             (seed,) = map(int, args.unitary[1:])
+            if seed < 0:  # numpy seeds are non-negative
+                raise ValueError
         except ValueError:
             raise LabelError("usage: --unitary haar SEED") from None
         return dynamics.haar_unitary(args.modes, seed)

@@ -177,18 +177,30 @@ class AmplitudeVector:
 
     def __init__(self, spec, basis, amplitudes):
         basis = tuple(tuple(b) for b in basis)
-        amplitudes = np.asarray(amplitudes, dtype=complex)
-        if not basis:
-            raise ValueError("empty basis")
         if len(set(basis)) != len(basis):
             raise ValueError("duplicate basis states")
-        if amplitudes.shape != (len(basis),):
-            raise ValueError("one amplitude per basis state required")
         sectors = {excitation_number(spec, b) for b in basis}
-        if len(sectors) != 1:
+        if len(sectors) > 1:
             raise ValueError(
                 f"basis must live in a single excitation sector, got {sectors}"
             )
+        self._fill(spec, basis, amplitudes)
+
+    @classmethod
+    def _of_sector(cls, spec, basis: tuple, amplitudes) -> "AmplitudeVector":
+        """Vector over a basis of distinct states of one excitation sector,
+        as :func:`~fockstat.fock.sector_states` yields: the array checks
+        only, without re-deriving each state's excitation."""
+        vec = cls.__new__(cls)
+        vec._fill(spec, basis, amplitudes)
+        return vec
+
+    def _fill(self, spec, basis: tuple, amplitudes) -> None:
+        amplitudes = np.asarray(amplitudes, dtype=complex)
+        if not basis:
+            raise ValueError("empty basis")
+        if amplitudes.shape != (len(basis),):
+            raise ValueError("one amplitude per basis state required")
         norm = float(np.sum(np.abs(amplitudes) ** 2))
         if abs(norm - 1.0) > NORMALIZATION_TOL:
             raise ValueError(f"state not normalized: sum |a|^2 = {norm!r}")
@@ -225,7 +237,7 @@ def evolve(g: np.ndarray, vec: AmplitudeVector) -> AmplitudeVector:
         raise ValueError(f"state has {len(vec.basis[0])} modes, g has {g.shape[0]}")
     basis, column = _sector(vec.spec, g, vec.sector)
     out = sum(a * column(b) for b, a in zip(vec.basis, vec.amplitudes))
-    return AmplitudeVector(vec.spec, basis, out)
+    return AmplitudeVector._of_sector(vec.spec, basis, out)
 
 
 def detection_probabilities(vec: AmplitudeVector) -> dict[tuple[int, ...], float]:

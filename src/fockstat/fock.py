@@ -77,7 +77,7 @@ class SectorDecomposition:
         return sorted(self.entries.items(), key=lambda kv: kv[0].sort_key)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _char_coeffs(spec: StatisticsSpec, horizon: int) -> tuple[int, ...]:
     return single_mode_character(spec, horizon).coeffs
 

@@ -760,3 +760,15 @@ class TestRootCounting:
         y = least_positive_root(build_polynomial(bspec(1, 6, 11, 6)))
         assert Fraction(y) >= Fraction(1, 3) > Fraction(math.nextafter(y, 0))
         assert least_positive_root(build_polynomial(bspec(1, 2, 1))) == 1.0
+        # the wall w decides "a root in (0, y]" for every float y by y >= w,
+        # including a degree-5 label and double roots
+        labels = [(1, 1), (1, 2), (1, 3, 2), (1, 6, 11, 6), (1, 15, 85, 225, 274, 120), (1, 4, 4), (1, 2, 1)]
+        for q in labels:
+            p = build_polynomial(bspec(*q))
+            w = least_positive_root(p)
+            ys, below, above = [w], w, w
+            for _ in range(40):
+                below, above = math.nextafter(below, 0), math.nextafter(above, 2)
+                ys += [below, above]
+            for y in ys:
+                assert (count_real_roots_upto(p, Fraction(y)) >= 1) == (y >= w), (q, y)

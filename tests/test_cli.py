@@ -218,7 +218,7 @@ class TestSimulateCommand:
         )
         assert code == EXPECT_PARSE
 
-    @pytest.mark.parametrize("seed", [("abc",), (), ("1", "2")])
+    @pytest.mark.parametrize("seed", [("abc",), (), ("1", "2"), ("-1",)])
     def test_bad_haar_seed_exits_2(self, capsys, seed):
         code, out, err = run(
             capsys, "simulate", "1,1:-", "--modes", "2", "--input", "1,1",

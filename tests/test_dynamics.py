@@ -299,6 +299,34 @@ class TestEvolve:
                 assert out.basis == rep.basis
                 assert np.allclose(out.amplitudes, rep.matrix @ full, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("kind", [F, B])
+    def test_returns_the_whole_sector(self, kind):
+        for q in (1, 2, 3):
+            spec = StatisticsSpec(kind, (1, q))
+            for d in (1, 2, 3, 4):
+                g = haar_unitary(d, 10 * d + q)
+                for N in range(4):
+                    basis = sector_states(spec, d, N)
+                    if not basis:
+                        continue
+                    vec = AmplitudeVector(spec, basis[-1:], [1.0])
+                    out = evolve(g, vec)
+                    assert out.basis == tuple(basis)
+                    assert out.sector == vec.sector == N
+                    AmplitudeVector(spec, out.basis, out.amplitudes)  # passes every check
+
+    def test_does_not_rederive_the_output_sector(self, monkeypatch):
+        calls = []
+        excitation = dynamics.excitation_number
+        monkeypatch.setattr(
+            dynamics, "excitation_number", lambda *a: calls.append(1) or excitation(*a)
+        )
+        vec = AmplitudeVector.basis_state(F12, (1, 1, 0, 1))
+        calls.clear()
+        out = evolve(haar_unitary(4, 3), vec)
+        assert len(out.basis) > 1
+        assert len(calls) <= 1
+
     def test_mode_count_mismatch_rejected(self):
         vec = AmplitudeVector.basis_state(B11, (1, 1))
         for d in (1, 3):

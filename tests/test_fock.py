@@ -20,6 +20,7 @@ from fockstat.fock import (
     state_energy,
     to_labeled,
 )
+from fockstat.fock import _char_coeffs
 from fockstat.symfunc import Partition, schur_dimension, schur_expand_oracle
 
 F, B = Kind.FERMIONIC_LIKE, Kind.BOSONIC_LIKE
@@ -76,6 +77,9 @@ class TestExcitation:
         spec = bspec(1, 2)
         assert [excitation_of(spec, n) for n in range(7)] == [0, 1, 1, 2, 2, 2, 2]
         assert excitation_number(spec, (4, 0)) == 2
+
+    def test_character_memo_is_bounded(self):
+        assert _char_coeffs.cache_info().maxsize is not None
 
     def test_occupation_beyond_bound_rejected(self):
         with pytest.raises(ValueError):
