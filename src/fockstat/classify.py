@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     InsufficientHorizonError,
@@ -157,16 +157,24 @@ def _gcd_poly(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return a
 
 
+def _squarefree_layers(coeffs: Sequence[int | Fraction]) -> Iterator[list[Fraction]]:
+    """Square-free layers p/g1, g1/g2, ... of p (deg >= 1), g0 = p and
+    g(k+1) = gcd(gk, gk'), each gcd built once and lazily: a root of
+    multiplicity m is a simple root of each of the first m layers."""
+    p = _trim([Fraction(c) for c in coeffs])
+    while len(p) > 1:
+        g = _gcd_poly(p, _deriv(p))
+        yield _divmod_poly(p, g)[0]
+        p = g
+
+
 def _sturm_chain(p: list[Fraction]) -> list[list[Fraction]]:
-    """Sturm chain of the square-free part of p."""
-    squarefree = _divmod_poly(p, _gcd_poly(p, _deriv(p)))[0]
-    chain = [squarefree, _deriv(squarefree)]
+    """Sturm chain of a square-free p of degree >= 1: p, p', then negated
+    remainders down to a nonzero constant (gcd(p, p') is one)."""
+    chain = [p, _deriv(p)]
     while len(chain[-1]) > 1:
-        rem = _divmod_poly(chain[-2], chain[-1])[1]
-        if not rem:
-            break
-        chain.append([-c for c in rem])
-    return [c for c in chain if c]
+        chain.append([-c for c in _divmod_poly(chain[-2], chain[-1])[1]])
+    return chain
 
 
 def _variations(signs: list[int]) -> int:
@@ -178,49 +186,46 @@ def _sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
 
-def _roots_upto(chain: list[list[Fraction]], upper: Fraction | None) -> int:
-    """Distinct roots in (0, upper] ((0, inf) for None) from a Sturm chain.
-
-    The sign variation count is right-continuous at roots, so a root on
-    either end is counted exactly when it lies in the half-open interval.
-    """
-    at_zero = [_sign(next(c for c in poly if c)) for poly in chain]  # x -> 0+
-    if upper is None:
-        at_upper = [_sign(poly[-1]) for poly in chain]
-    else:
-        at_upper = [_sign(_poly_eval(poly, upper)) for poly in chain]
+def _roots_upto(chain: list[list[Fraction]], upper: Fraction) -> int:
+    """Distinct roots in (0, upper] from a Sturm chain.  The sign variation
+    count V(x) drops by one across each distinct root and is right-continuous
+    there, so V(a) - V(b) counts the roots in (a, b]; V(0) reads the constant terms."""
+    at_zero = [_sign(poly[0]) for poly in chain]
+    at_upper = [_sign(_poly_eval(poly, upper)) for poly in chain]
     return _variations(at_zero) - _variations(at_upper)
 
 
-def _on_positive_side(coeffs: Sequence[int | Fraction], positive: bool) -> list[Fraction]:
-    """p(x), or p(-x) to move the negative half-line onto the positive one."""
-    return _trim([Fraction(c) * (1 if positive else (-1) ** i) for i, c in enumerate(coeffs)])
+def _layer_roots(coeffs: Sequence[int | Fraction]) -> list[tuple[int, int]]:
+    """Distinct roots on (-inf, 0) and on (0, inf) of each square-free
+    layer, from one Sturm chain: the leading terms give V(-inf) and
+    V(+inf), and a root at 0, which V(-inf) - V(0) counts, is taken off
+    the negative side."""
+    counts = []
+    for layer in _squarefree_layers(coeffs):
+        chain = _sturm_chain(layer)
+        at_minus = _variations([_sign(poly[-1]) * (-1) ** (len(poly) - 1) for poly in chain])
+        at_zero = _variations([_sign(poly[0]) for poly in chain])
+        at_plus = _variations([_sign(poly[-1]) for poly in chain])
+        counts.append((at_minus - at_zero - (layer[0] == 0), at_zero - at_plus))
+    return counts
 
 
 def count_real_roots(coeffs: Sequence[int | Fraction], positive: bool) -> int:
-    """Real roots (with multiplicity) of an integer polynomial on a half-line.
-
-    A root of multiplicity m is a distinct root of each of p, gcd(p, p'),
-    ... (m of them).
-    """
-    p = _on_positive_side(coeffs, positive)
-    total = 0
-    while len(p) > 1:
-        total += _roots_upto(_sturm_chain(p), None)
-        p = _gcd_poly(p, _deriv(p))
-    return total
+    """Real roots (with multiplicity) of an integer polynomial of degree
+    >= 1 on the half-line (0, inf), or (-inf, 0) for positive=False."""
+    return sum(counts[positive] for counts in _layer_roots(coeffs))
 
 
 def count_real_roots_upto(coeffs: Sequence[int | Fraction], upper: Fraction) -> int:
-    """Distinct roots in the interval (0, upper], exact. Used for divergence detection."""
-    return _roots_upto(_sturm_chain([Fraction(c) for c in coeffs]), Fraction(upper))
+    """Distinct roots in (0, upper] (degree >= 1), exact. Used for divergence detection."""
+    return _roots_upto(_sturm_chain(next(_squarefree_layers(coeffs))), Fraction(upper))
 
 
 def least_positive_root(coeffs: Sequence[int]) -> float:
     """Smallest float y with a root of the polynomial in (0, y], for a
     polynomial with a root in (0, 1]: float bisection, each midpoint decided
     exactly on one Sturm chain, until the bracket is two adjacent floats."""
-    chain = _sturm_chain([Fraction(c) for c in coeffs])
+    chain = _sturm_chain(next(_squarefree_layers(coeffs)))
     lo, hi = 0.0, 1.0
     while lo < (mid := (lo + hi) / 2) < hi:
         if _roots_upto(chain, Fraction(mid)):
@@ -255,15 +260,11 @@ def is_valid_statistics(spec: StatisticsSpec) -> ClassificationReport:
     (fermionic-like) or strictly positive (bosonic-like), counted with
     multiplicity by exact Sturm sequences.  ``irreducible`` is None past
     the factorization bound."""
-    coeffs = build_polynomial(spec)
     deg = spec.order
     wanted_positive = not spec.is_fermionic_like
-    with_mult = count_real_roots(coeffs, wanted_positive)
+    layers = _layer_roots(build_polynomial(spec))
+    with_mult = sum(counts[wanted_positive] for counts in layers)
     valid = with_mult == deg
-    summary = {
-        side: _roots_upto(_sturm_chain(_on_positive_side(coeffs, side == "positive")), None)
-        for side in ("negative", "positive")
-    }
 
     reason = None
     if not valid:
@@ -274,13 +275,12 @@ def is_valid_statistics(spec: StatisticsSpec) -> ClassificationReport:
             f"all roots must be real and strictly {side}"
         )
 
-    p = sum(spec.q) - 1 if (valid and spec.is_fermionic_like) else None
     return ClassificationReport(
         valid=valid,
         irreducible=None if deg > FACTORIZATION_DEGREE_BOUND else is_irreducible_statistics(spec),
         order=deg,
-        max_occupation=p,
-        roots_summary=summary,
+        max_occupation=max_occupation(spec) if valid else None,
+        roots_summary=dict(zip(("negative", "positive"), layers[0])),
         unique_vacuum=spec.unique_vacuum,
         failure_reason=reason,
     )

@@ -64,9 +64,10 @@ def check_unitary(g: np.ndarray, tol: float = UNITARITY_TOL) -> np.ndarray:
     g = np.asarray(g, dtype=complex)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise ValueError(f"mode transformation must be square, got {g.shape}")
-    dev = np.max(np.abs(g.conj().T @ g - np.eye(g.shape[0])))
-    if dev > tol:
-        raise ValueError(f"matrix is not unitary (deviation {dev:.3e} > {tol:.0e})")
+    with np.errstate(all="ignore"):  # inf or NaN entries: rejected below, with no warning
+        dev = np.max(np.abs(g.conj().T @ g - np.eye(g.shape[0])))
+    if not dev <= tol:  # NaN fails too
+        raise ValueError(f"matrix is not unitary (deviation {dev:.3e}, tolerance {tol:.0e})")
     return g
 
 
@@ -202,7 +203,7 @@ class AmplitudeVector:
         if amplitudes.shape != (len(basis),):
             raise ValueError("one amplitude per basis state required")
         norm = float(np.sum(np.abs(amplitudes) ** 2))
-        if abs(norm - 1.0) > NORMALIZATION_TOL:
+        if not abs(norm - 1.0) <= NORMALIZATION_TOL:  # NaN fails too
             raise ValueError(f"state not normalized: sum |a|^2 = {norm!r}")
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "basis", basis)

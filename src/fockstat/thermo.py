@@ -170,17 +170,14 @@ def solve_mu(
     energies: Sequence[float],
     beta: float,
     target_N: float,
-    *,
-    tol: float = SOLVE_TOL,
-    max_iter: int = SOLVE_MAX_ITER,
 ) -> float:
-    """Chemical potential with total occupation equal to target_N within tol.
+    """Chemical potential with total occupation equal to target_N within SOLVE_TOL.
 
     Bisection on the (strictly increasing) total-occupation function; the
     bracket is expanded geometrically.  Fermionic-like targets must not
     exceed d * order, the supremum of the total excitation; targets at the
     supremum itself resolve to the finite mu reaching it within tolerance.
-    Raises ResourceGuardError when max_iter bisection steps do not reach it.
+    Raises ResourceGuardError when SOLVE_MAX_ITER bisection steps do not reach it.
     """
     require_valid(spec)
     if not energies:
@@ -194,7 +191,7 @@ def solve_mu(
             f"at d * order = {d * spec.order}"
         )
     # aim just inside the feasible region so saturating targets stay solvable
-    shifted = target_N - tol / 2
+    shifted = target_N - SOLVE_TOL / 2
 
     def total(mu: float) -> float:
         return _total_occupation(spec, energies, beta, mu)
@@ -235,19 +232,19 @@ def solve_mu(
         raise ValueError("failed to bracket the chemical potential from below")
 
     value = math.nan
-    for _ in range(max_iter):
+    for _ in range(SOLVE_MAX_ITER):
         mid = 0.5 * (lo + hi)
         value = total(mid)
-        if abs(value - target_N) <= tol and value <= target_N:
+        if abs(value - target_N) <= SOLVE_TOL and value <= target_N:
             return mid
         if value < shifted:
             lo = mid
         else:
             hi = mid
     raise ResourceGuardError(
-        f"chemical potential did not converge within SOLVE_MAX_ITER={max_iter} "
+        f"chemical potential did not converge within SOLVE_MAX_ITER={SOLVE_MAX_ITER} "
         f"bisection steps: |N - target| = {abs(value - target_N):.3g} at the last "
-        f"step, tolerance {tol:g}"
+        f"step, tolerance {SOLVE_TOL:g}"
     )
 
 

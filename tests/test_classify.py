@@ -1,3 +1,4 @@
+import collections
 import functools
 import gc
 import math
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fockstat import classify
 from fockstat.classify import (
     ClassificationReport,
     Kind,
@@ -25,7 +27,7 @@ from fockstat.classify import (
     single_mode_character,
     totally_positive_upto,
 )
-from fockstat.classify import _band, _minor, _minor_classes, _neville_tnn
+from fockstat.classify import _band, _layer_roots, _minor, _minor_classes, _neville_tnn
 from fockstat.errors import (
     InsufficientHorizonError,
     InvalidStatisticsError,
@@ -754,6 +756,69 @@ class TestRootCounting:
             assert count_real_roots(coeffs, positive=True) == with_mult - zero_mult
             mirrored = sum(m * f.count_roots(None, 0) for f, m in poly.sqf_list()[1])
             assert count_real_roots(coeffs, positive=False) == mirrored - zero_mult
+
+    @staticmethod
+    def _sympy_half_lines(coeffs):
+        """Distinct roots on (-inf, 0) and (0, inf) by sympy's counts on
+        closed intervals, without a root at 0."""
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        squarefree = sympy.Poly(list(reversed(coeffs)), x).sqf_part()
+        at_zero = int(squarefree.eval(0) == 0)
+        return squarefree.count_roots(None, 0) - at_zero, squarefree.count_roots(0, None) - at_zero
+
+    def test_roots_summary_matches_sympy(self, monkeypatch):
+        # the summary does not read the Kronecker verdict, which costs up to
+        # a second per degree-6 label
+        monkeypatch.setattr(classify, "is_irreducible_statistics", lambda spec: None)
+        rng = random.Random(12)
+        specs = [fspec(1, 2, 1), bspec(1, 4, 4), fspec(2, 5, 4, 1), bspec(1, 3, 3, 1), fspec(1, 1, 1),
+                 bspec(1, 1, 1), fspec(1, 2, 2, 1), bspec(1, 2, 2, 1)]
+        for _ in range(150):
+            kind, deg = rng.choice([F, B]), rng.randint(1, 6)
+            if rng.random() < 0.4:  # real roots, often repeated
+                q = [1]
+                for _ in range(deg):
+                    r = rng.randint(1, 3)
+                    q = [a + r * b for a, b in zip(q + [0], [0] + q)]
+            else:
+                q = [1 if kind is B else rng.randint(1, 4)] + [rng.randint(1, 9) for _ in range(deg)]
+            specs.append(StatisticsSpec(kind, q))
+        for spec in specs:
+            negative, positive = self._sympy_half_lines(build_polynomial(spec))
+            got = is_valid_statistics(spec).roots_summary
+            assert got == {"negative": negative, "positive": positive}, spec
+
+    def test_layer_roots_read_both_half_lines(self):
+        # by Descartes' rule a label has roots on its own side only, so
+        # roots on both sides, at 0 and repeated are checked on the reader
+        rng = random.Random(13)
+        for _ in range(150):
+            coeffs = [1]
+            for _ in range(rng.randint(1, 6)):
+                num, den = rng.randint(-3, 3), rng.randint(1, 2)
+                coeffs = [den * a - num * b for a, b in zip([0] + coeffs, coeffs + [0])]
+            if rng.random() < 0.3:  # a factor without real roots
+                coeffs = [a + b for a, b in zip(coeffs + [0, 0], [0, 0] + coeffs)]
+            assert _layer_roots(coeffs)[0] == self._sympy_half_lines(coeffs), coeffs
+
+    @pytest.mark.parametrize("spec, chains", [(fspec(1, 3, 2), 1), (bspec(1, 6, 11, 6), 1), (fspec(1, 1, 1), 1),
+                                              (fspec(1, 2, 1), 2), (bspec(1, 4, 4), 2), (fspec(1, 3, 3, 1), 3)],
+                             ids=lambda v: v.label() if isinstance(v, StatisticsSpec) else str(v))
+    def test_gate_builds_one_chain_per_layer(self, monkeypatch, spec, chains):
+        calls = collections.Counter()
+        for name in ("_sturm_chain", "_gcd_poly"):
+            def counting(*args, _f=getattr(classify, name), _name=name):
+                calls[_name] += 1
+                return _f(*args)
+
+            monkeypatch.setattr(classify, name, counting)
+        is_valid_statistics(spec)
+        # one gcd and one chain per square-free layer, a layer per multiplicity
+        assert calls == {"_sturm_chain": chains, "_gcd_poly": chains}
+        calls.clear()
+        count_real_roots_upto(build_polynomial(spec), Fraction(1))
+        assert calls == {"_sturm_chain": 1, "_gcd_poly": 1}
 
     def test_least_positive_root_brackets_the_wall(self):
         # 1 - 6x + 11x^2 - 6x^3 = (1-x)(1-2x)(1-3x): smallest root 1/3

@@ -281,6 +281,19 @@ class TestSimulateCommand:
         assert code == EXPECT_BAD_UNITARY
         assert "bad unitary" in err
 
+    @pytest.mark.parametrize("entry", ["nan", "inf"])
+    def test_non_finite_file_exits_4(self, capsys, tmp_path, entry):
+        # a NaN deviation used to pass the unitarity check and print NaN
+        # probabilities, which is not JSON
+        path = tmp_path / "nan.csv"
+        path.write_text(f"1,0,{entry},0\n0,0,1,0\n")
+        code, out, err = run(
+            capsys, "simulate", "1,1:+", "--modes", "2", "--input", "1,1",
+            "--unitary", "file", str(path),
+        )
+        assert code == EXPECT_BAD_UNITARY
+        assert out == "" and err.startswith("bad unitary: matrix is not unitary")
+
     def test_malformed_file_exits_4(self, capsys, tmp_path):
         path = tmp_path / "short.csv"
         path.write_text("1.0,0.0\n")

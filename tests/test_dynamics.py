@@ -62,6 +62,11 @@ class TestUnitaryHelpers:
         with pytest.raises(ValueError):
             check_unitary(np.array([[1.0, 0.1], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, entry):
+        with pytest.raises(ValueError, match="not unitary"):
+            check_unitary(np.array([[1.0, entry], [0.0, 1.0]]))
+
 
 class TestFermionicRep:
     def test_defining_sector(self):
@@ -340,6 +345,11 @@ class TestEvolve:
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):
             AmplitudeVector(F11, ((1, 1),), np.array([0.5]))
+
+    @pytest.mark.parametrize("amp", [np.nan, complex(np.nan, 0), np.inf])
+    def test_non_finite_amplitude_rejected(self, amp):
+        with pytest.raises(ValueError, match="not normalized"):
+            AmplitudeVector(F11, ((1, 1),), np.array([amp]))
 
 
 def basis_sum_trace(spec, phases, cutoff):
