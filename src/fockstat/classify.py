@@ -293,27 +293,24 @@ def max_occupation(spec: StatisticsSpec) -> int | None:
     return None
 
 
-def _divisors_signed(n: int) -> list[int]:
+def _divisors(n: int) -> list[int]:
+    """The positive divisors of n != 0, ascending."""
     n = abs(n)
-    out = []
-    for d in range(1, int(n**0.5) + 1):
-        if n % d == 0:
-            out.extend((d, n // d))
-    out = sorted(set(out))
-    return [s * d for d in out for s in (1, -1)]
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return sorted(set(small + [n // d for d in small]))
 
 
 def _has_rational_root(coeffs: list[int]) -> bool:
-    lead, const = coeffs[-1], coeffs[0]
-    num_candidates = {abs(d) for d in _divisors_signed(const)} if const else {0}
-    den_candidates = {abs(d) for d in _divisors_signed(lead)}
-    for num in num_candidates:
-        for den in den_candidates:
-            for sign in (1, -1):
-                x = Fraction(sign * num, den)
-                if _poly_eval([Fraction(c) for c in coeffs], x) == 0:
-                    return True
-    return False
+    """Rational root test: a root num/den has num | q0 and den | q_deg."""
+    frac = [Fraction(c) for c in coeffs]
+    nums = _divisors(coeffs[0]) if coeffs[0] else [0]
+    dens = _divisors(coeffs[-1])
+    return any(
+        _poly_eval(frac, Fraction(sign * num, den)) == 0
+        for num in nums
+        for den in dens
+        for sign in (1, -1)
+    )
 
 
 def _lagrange_interpolate(points: list[tuple[int, int]]) -> list[Fraction]:
@@ -358,9 +355,10 @@ def _is_irreducible(coeffs: list[int]) -> bool:
     for m in range(2, deg // 2 + 1):
         xs = sample_xs[: m + 1]
         values = [int(_poly_eval(frac, Fraction(x))) for x in xs]
-        divisor_lists = [_divisors_signed(v) for v in values]
         # factor sign is irrelevant: pin the first divisor positive
-        divisor_lists[0] = [d for d in divisor_lists[0] if d > 0]
+        divisor_lists = [_divisors(values[0])] + [
+            [s * d for d in _divisors(v) for s in (1, -1)] for v in values[1:]
+        ]
         for combo in product(*divisor_lists):
             cand = _lagrange_interpolate(list(zip(xs, combo)))
             if len(cand) - 1 != m:
@@ -563,55 +561,27 @@ def _minor_poly(rows: int, cols: int, smax: int, memo: dict) -> dict:
 
 
 @functools.lru_cache(maxsize=64)
-def _band(K: int, order: int, smax: int, lo: int, hi: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """(rows, cols) of the minor classes with weight in (lo, hi] that can
-    decide a scan, sorted by (weight, k, -lam, -mu); it depends on the
+def _band(K: int, order: int, smax: int, lo: int, hi: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], tuple], ...]:
+    """(rows, cols, poly) of the minor classes with weight in (lo, hi] that
+    can decide a scan, sorted by (weight, k, -lam, -mu); it depends on the
     series only through smax.
 
-    Each class's minor is a fixed integer polynomial in a_0..a_smax.  A
-    class whose polynomial has no negative coefficient is dropped: it is
-    >= 0 for every ``IntegerSeries``, which rejects negative coefficients.
-    Of the classes sharing a polynomial only the first is kept; they share
-    a value, so the first negative class of the full order is kept."""
+    Each class's minor is a fixed integer polynomial in a_0..a_smax, kept
+    as ``poly``: the sorted (monomial, coefficient) pairs.  A class whose
+    polynomial has no negative coefficient is dropped: it is >= 0 for every
+    ``IntegerSeries``, which rejects negative coefficients.  Of the classes
+    sharing a polynomial only the first is kept; they share a value, so the
+    first negative class of the full order is kept."""
     band = [(0, 1, (), (), (0,), (0,))] if lo < 0 else []
     _minor_classes(K, order, smax, lo, hi, (), (0,), 0, band)
     band.sort()
     memo: dict = {}
-    seen, kept = set(), []
+    kept: dict = {}  # poly -> the first (rows, cols) with it, in scan order
     for *_, rows, cols in band:
         poly = _minor_poly(sum(1 << r for r in rows), sum(1 << c for c in cols), smax, memo)
         if any(v < 0 for v in poly.values()):
-            key = frozenset(poly.items())
-            if key not in seen:
-                seen.add(key)
-                kept.append((rows, cols))
-    return tuple(kept)
-
-
-def _minor(window: Sequence[Sequence[int]], rows: tuple[int, ...], cols: tuple[int, ...],
-           memo: dict) -> int:
-    """Determinant of window[rows][cols] by cofactor expansion along the
-    first row, skipping zero entries.  Sub-minors of three or more rows are
-    kept in ``memo`` under (rows, cols); 2 x 2 minors are closed inline."""
-    n = len(rows)
-    if n == 1:
-        return window[rows[0]][cols[0]]
-    if n == 2:
-        top, bottom = window[rows[0]], window[rows[1]]
-        c, d = cols
-        return top[c] * bottom[d] - top[d] * bottom[c]
-    key = (rows, cols)
-    val = memo.get(key)
-    if val is None:
-        top, rest = window[rows[0]], rows[1:]
-        val = 0
-        for j, c in enumerate(cols):
-            x = top[c]
-            if x:
-                sub = _minor(window, rest, cols[:j] + cols[j + 1:], memo)
-                val += -x * sub if j & 1 else x * sub
-        memo[key] = val
-    return val
+            kept.setdefault(tuple(sorted(poly.items())), (rows, cols))
+    return tuple((rows, cols, poly) for poly, (rows, cols) in kept.items())
 
 
 def totally_positive_upto(a: IntegerSeries, order: int) -> TotalPositivityResult:
@@ -638,13 +608,9 @@ def totally_positive_upto(a: IntegerSeries, order: int) -> TotalPositivityResult
     used.  Building a band also compiles it to one class per distinct
     minor polynomial that can go negative (41 of 1,576 classes at horizon
     8, order 4, smax 2), which keeps the first witness.  The compile adds
-    about half to a band's build, paid once per band; an exhaustive scan
-    then evaluates only the kept classes.  Each minor is expanded along its
-    first row over the window's nonzero entries (at most smax + 1 per row);
-    all minors lie in one window, so they share most of their sub-minors,
-    and one dict keyed by (rows, cols) keeps every sub-minor of three or
-    more rows for the whole scan.  That memo is local to the call and freed
-    when it returns.
+    about half to a band's build, paid once per band; a scan then reads
+    each kept class's value from its polynomial at the series'
+    coefficients.
     """
     if order > TOTAL_POSITIVITY_ORDER_BOUND:
         raise ResourceGuardError(
@@ -661,11 +627,16 @@ def totally_positive_upto(a: IntegerSeries, order: int) -> TotalPositivityResult
     if _neville_tnn(window):
         return TotalPositivityResult(True)
     smax = max(s for s, c in enumerate(a.coeffs) if c != 0)
-    memo: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     lo, hi = -1, 2
     while lo < 2 * order * K:
-        for rows, cols in _band(K, order, smax, lo, hi):
-            val = _minor(window, rows, cols, memo)
+        for rows, cols, poly in _band(K, order, smax, lo, hi):
+            # plain loops: most polynomials have a few short terms, where
+            # generator expressions would cost more than the products
+            val = 0
+            for mono, v in poly:
+                for i in mono:
+                    v *= a.coeffs[i]
+                val += v
             if val < 0:
                 return TotalPositivityResult(False, rows, cols, val)
         lo, hi = hi, 2 * hi

@@ -32,6 +32,10 @@ __all__ = [
 # and evaluation falls back to exact SSYT summation.
 COINCIDENCE_THRESHOLD = 1e-9
 
+# Largest instance the brute-force Schur expansion oracle accepts.
+ORACLE_MAX_MODES = 3
+ORACLE_MAX_WEIGHT = 6
+
 
 @dataclass(frozen=True)
 class Partition:
@@ -344,24 +348,18 @@ def _truncated_product(coeffs: list[int], d: int, max_weight: int) -> dict[tuple
     return poly
 
 
-def schur_expand_oracle(
-    a: IntegerSeries,
-    d: int,
-    max_weight: int,
-    *,
-    guard_d: int = 3,
-    guard_weight: int = 6,
-) -> dict[Partition, int]:
+def schur_expand_oracle(a: IntegerSeries, d: int, max_weight: int) -> dict[Partition, int]:
     """Brute-force Schur expansion, independent of the minor route.
 
     Multiplies truncated single-variable factors explicitly, then peels off
     Schur monomial expansions greedily in graded-lexicographic order of
-    leading monomials.  Small instances only.
+    leading monomials.  Small instances only: d <= ORACLE_MAX_MODES and
+    max_weight <= ORACLE_MAX_WEIGHT.
     """
-    if d > guard_d or max_weight > guard_weight:
+    if d > ORACLE_MAX_MODES or max_weight > ORACLE_MAX_WEIGHT:
         raise ResourceGuardError(
-            f"oracle guard exceeded: d={d} (<= {guard_d}), "
-            f"max_weight={max_weight} (<= {guard_weight})"
+            f"oracle guard exceeded: d={d} (ORACLE_MAX_MODES={ORACLE_MAX_MODES}), "
+            f"max_weight={max_weight} (ORACLE_MAX_WEIGHT={ORACLE_MAX_WEIGHT})"
         )
     if a.truncated and max_weight > a.horizon:
         raise InsufficientHorizonError(required=max_weight, horizon=a.horizon)

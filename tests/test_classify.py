@@ -27,7 +27,7 @@ from fockstat.classify import (
     single_mode_character,
     totally_positive_upto,
 )
-from fockstat.classify import _band, _layer_roots, _minor, _minor_classes, _neville_tnn
+from fockstat.classify import _band, _layer_roots, _minor_classes, _neville_tnn
 from fockstat.errors import (
     InsufficientHorizonError,
     InvalidStatisticsError,
@@ -584,9 +584,11 @@ class TestTotalPositivity:
         for key in ((6, 4, 2, -1, 2), (6, 4, 2, 4, 8), (8, 4, 3, 8, 16), (6, 5, 6, 4, 8)):
             band = _band(*key)
             assert isinstance(band, tuple) and band
-            assert all(isinstance(rows, tuple) and isinstance(cols, tuple) for rows, cols in band)
-            # every kept class can go negative, and no two kept classes agree
-            polys = [_minor_polynomial(rows, cols, key[2]) for rows, cols in band]
+            assert all(isinstance(field, tuple) for entry in band for field in entry)
+            # each stored polynomial is its class's minor, every kept class
+            # can go negative, and no two kept classes agree
+            polys = [_minor_polynomial(rows, cols, key[2]) for rows, cols, _ in band]
+            assert [frozenset(poly) for *_, poly in band] == polys, key
             assert all(any(v < 0 for _, v in poly) for poly in polys), key
             assert len(set(polys)) == len(polys), key
 
@@ -595,8 +597,11 @@ class TestTotalPositivity:
         total = kept = 0
         for lo, hi, classes in _full_walk(K, order, smax):
             band = _band(K, order, smax, lo, hi)
-            assert set(band) <= set(classes)
-            assert sorted(band, key=classes.index) == list(band)
+            kept_classes = [(rows, cols) for rows, cols, _ in band]
+            assert set(kept_classes) <= set(classes)
+            assert sorted(kept_classes, key=classes.index) == kept_classes
+            for rows, cols, poly in band:
+                assert frozenset(poly) == _minor_polynomial(rows, cols, smax)
             total += len(classes)
             kept += len(band)
         assert 0 < 10 * kept < total
@@ -635,63 +640,36 @@ class TestTotalPositivity:
         assert seen[False] > 150 and seen[True] > 50, seen
         assert sizes == {2, 3, 4, 5, 6}
 
-    def test_minor_memo_does_not_outlive_a_scan(self):
-        # same horizon, order and smax, so both scans walk the same bands and
-        # ask for the same (rows, cols) sub-minors with other entries
-        first, second = (1, 3, 3, 0, 0, 0, 0), (1, 2, 2, 0, 0, 0, 0)
-        for a, b in ((first, second), (second, first)):
-            got = [_as_brute_force(totally_positive_upto(IntegerSeries(c), 4)) for c in (a, b)]
-            assert got == [brute_force_tp(a, 4), brute_force_tp(b, 4)]
-        assert brute_force_tp(first, 4)[0] != brute_force_tp(second, 4)[0]
-
     def test_exhaustive_scan_leaves_no_reference_cycle(self):
         series = IntegerSeries((1, 3, 3) + (0,) * 6)
         gc.collect()
         assert totally_positive_upto(series, 4)  # exhaustive
         assert gc.collect() == 0
-        assert not totally_positive_upto(series, 6)  # a 6 x 6 witness, memo filled
+        assert not totally_positive_upto(series, 6)  # a 6 x 6 witness
         assert gc.collect() == 0
 
 
-class TestMinorKernel:
-    """The scan's first-row expansion against fraction-free elimination."""
+class TestBandPolynomials:
+    """Each kept class's stored polynomial, the scan's only minor
+    evaluator, against fraction-free elimination of its sub-window."""
 
-    def test_matches_bareiss_on_random_matrices(self):
-        rng = random.Random(23)
-        for _ in range(600):
-            n = rng.randint(1, 6)
-            size = rng.choice((3, 100, 10**12))
-            w = [[rng.choice((0, 0, rng.randint(-size, size))) for _ in range(n)] for _ in range(n)]
-            if rng.random() < 0.2:
-                w[rng.randrange(n)] = [0] * n
-            if rng.random() < 0.2:
-                j = rng.randrange(n)
-                for row in w:
-                    row[j] = 0
-            memo = {}
-            full = tuple(range(n))
-            assert _minor(w, full, full, memo) == _det_bareiss(w), w
-            # every sub-minor, sharing the memo of the full one
-            for k in range(1, n + 1):
-                for rows in combinations(full, k):
-                    for cols in combinations(full, k):
-                        sub = [[w[r][c] for c in cols] for r in rows]
-                        assert _minor(w, rows, cols, memo) == _det_bareiss(sub)
-            assert all(len(rows) >= 3 for rows, _ in memo)
-
-    def test_matches_bareiss_on_toeplitz_windows(self):
+    def test_stored_polynomials_match_bareiss_on_random_series(self):
         rng = random.Random(29)
-        for _ in range(100):
+        checked = 0
+        for _ in range(60):
             K = rng.randint(3, 8)
-            a = (rng.randint(1, 10**12),) + tuple(rng.choice((0, rng.randint(1, 10**12))) for _ in range(K))
+            order = rng.randint(2, min(6, K + 1))
+            size = rng.choice((3, 100, 10**12))
+            a = (rng.randint(1, size),) + tuple(rng.choice((0, 0, rng.randint(1, size))) for _ in range(K))
+            smax = max(s for s, c in enumerate(a) if c)
             window = [[a[i - j] if i >= j else 0 for j in range(K + 1)] for i in range(K + 1)]
-            memo = {}
-            for _ in range(20):
-                k = rng.randint(1, min(6, K + 1))
-                rows = tuple(sorted(rng.sample(range(K + 1), k)))
-                cols = tuple(sorted(rng.sample(range(K + 1), k)))
-                sub = [[window[r][c] for c in cols] for r in rows]
-                assert _minor(window, rows, cols, memo) == _det_bareiss(sub)
+            for lo, hi, _ in _full_walk(K, order, smax):
+                for rows, cols, poly in _band(K, order, smax, lo, hi):
+                    value = sum(v * math.prod(a[i] for i in mono) for mono, v in poly)
+                    sub = [[window[r][c] for c in cols] for r in rows]
+                    assert value == _det_bareiss(sub), (a, rows, cols)
+                    checked += 1
+        assert checked > 1000
 
 
 class TestRootednessPositivityEquivalence:

@@ -110,6 +110,14 @@ class TestDecomposeCommand:
         assert code == 0
         assert doc["oracle_agrees"] is True
 
+    @pytest.mark.parametrize("modes, max_weight", [("4", "2"), ("2", "7")])
+    def test_oracle_check_past_its_guard_exits_2(self, capsys, modes, max_weight):
+        code, out, err = run(
+            capsys, "decompose", "1,2:-", "--modes", modes, "--max-weight", max_weight, "--check-oracle"
+        )
+        assert code == EXPECT_PARSE and not out
+        assert "ORACLE_MAX_MODES=3" in err and "ORACLE_MAX_WEIGHT=6" in err
+
     def test_csv_format(self, capsys):
         code, out, _ = run(
             capsys, "decompose", "1,1:-", "--modes", "2", "--format", "csv"

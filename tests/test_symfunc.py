@@ -223,14 +223,11 @@ class TestSchurExpand:
         }
 
     def test_oracle_guard(self):
-        with pytest.raises(ResourceGuardError):
+        with pytest.raises(ResourceGuardError, match=r"d=4 \(ORACLE_MAX_MODES=3\), max_weight=2 \(ORACLE_MAX_WEIGHT=6\)$"):
             schur_expand_oracle(IntegerSeries((1, 1)), 4, 2)
-        with pytest.raises(ResourceGuardError):
+        with pytest.raises(ResourceGuardError, match=r"d=2 \(ORACLE_MAX_MODES=3\), max_weight=7 \(ORACLE_MAX_WEIGHT=6\)$"):
             schur_expand_oracle(IntegerSeries((1, 1)), 2, 7)
-
-    def test_oracle_guard_overridable(self):
-        got = schur_expand_oracle(IntegerSeries((1, 1)), 4, 2, guard_d=4)
-        assert got[P(1, 1)] == 1
+        assert schur_expand_oracle(IntegerSeries((1, 1)), 3, 6)[P(1, 1, 1)] == 1
 
     def test_oracle_agreement_examples(self):
         cases = [
