@@ -3,8 +3,9 @@
 A label [q0,q1,...]± fixes an integer polynomial with alternating signs;
 the label describes an admissible particle statistics exactly when that
 polynomial has all roots real and of the correct sign.  Everything here is
-decided in exact rational arithmetic — validity is a hard gate for the rest
-of the package, so no floating-point root finding is used anywhere.
+decided exactly, the validity gate in integer arithmetic — validity is a
+hard gate for the rest of the package, so no floating-point root finding is
+used anywhere.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -42,6 +43,7 @@ __all__ = [
 ]
 
 FACTORIZATION_DEGREE_BOUND = 8
+FACTORIZATION_TRIAL_BOUND = 4000  # Kronecker candidates, about 0.25 ms each
 TOTAL_POSITIVITY_ORDER_BOUND = 6
 
 
@@ -94,7 +96,7 @@ class ClassificationReport:
     """Outcome of the validity test for one label.
 
     ``max_occupation`` is None when unbounded (bosonic-like) or when the
-    label is invalid; ``irreducible`` is None past the factorization
+    label is invalid; ``irreducible`` is None past either factorization
     bound.  ``roots_summary`` counts distinct real roots of the defining
     polynomial by sign.
     """
@@ -120,7 +122,8 @@ def build_polynomial(spec: StatisticsSpec) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# exact polynomial arithmetic over rationals (ascending coefficient lists)
+# exact polynomial arithmetic over the rationals (ascending coefficient
+# lists): the divergence test and the Kronecker factorization
 
 
 def _trim(p: list[Fraction]) -> list[Fraction]:
@@ -157,17 +160,6 @@ def _gcd_poly(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return a
 
 
-def _squarefree_layers(coeffs: Sequence[int | Fraction]) -> Iterator[list[Fraction]]:
-    """Square-free layers p/g1, g1/g2, ... of p (deg >= 1), g0 = p and
-    g(k+1) = gcd(gk, gk'), each gcd built once and lazily: a root of
-    multiplicity m is a simple root of each of the first m layers."""
-    p = _trim([Fraction(c) for c in coeffs])
-    while len(p) > 1:
-        g = _gcd_poly(p, _deriv(p))
-        yield _divmod_poly(p, g)[0]
-        p = g
-
-
 def _sturm_chain(p: list[Fraction]) -> list[list[Fraction]]:
     """Sturm chain of a square-free p of degree >= 1: p, p', then negated
     remainders down to a nonzero constant (gcd(p, p') is one)."""
@@ -182,27 +174,115 @@ def _variations(signs: list[int]) -> int:
     return sum(1 for a, b in zip(nz, nz[1:]) if a * b < 0)
 
 
-def _sign(x: Fraction) -> int:
+def _sign(x: int | Fraction) -> int:
     return (x > 0) - (x < 0)
 
 
-def _roots_upto(chain: list[list[Fraction]], upper: Fraction) -> int:
-    """Distinct roots in (0, upper] from a Sturm chain.  The sign variation
+def count_real_roots_upto(coeffs: Sequence[int | Fraction], upper: Fraction) -> int:
+    """Distinct roots in (0, upper] (degree >= 1), exact, on a Sturm chain
+    over the rationals; used for divergence detection.  The sign variation
     count V(x) drops by one across each distinct root and is right-continuous
-    there, so V(a) - V(b) counts the roots in (a, b]; V(0) reads the constant terms."""
-    at_zero = [_sign(poly[0]) for poly in chain]
-    at_upper = [_sign(_poly_eval(poly, upper)) for poly in chain]
-    return _variations(at_zero) - _variations(at_upper)
+    there, so V(0) - V(upper) counts the roots in (0, upper]."""
+    p = _trim([Fraction(c) for c in coeffs])
+    chain = _sturm_chain(_divmod_poly(p, _gcd_poly(p, _deriv(p)))[0])
+    upper = Fraction(upper)
+    return _variations([_sign(poly[0]) for poly in chain]) - _variations(
+        [_sign(_poly_eval(poly, upper)) for poly in chain]
+    )
+
+
+# ---------------------------------------------------------------------------
+# the validity gate over the integers: every polynomial below is an integer
+# list.  A square-free layer is a nonzero multiple of the rational one, and
+# each entry of its Sturm chain a multiple of the rational entry with the
+# layer's sign, so every sign variation count is the rational chain's.
+
+
+def _int_poly(coeffs: Sequence[int | Fraction]) -> list[int]:
+    """coeffs times the (positive) lcm of their denominators, trimmed."""
+    lcm = math.lcm(*(c.denominator for c in coeffs))
+    return _trim([c.numerator * (lcm // c.denominator) for c in coeffs])
+
+
+def _primitive(p: list[int]) -> list[int]:
+    """p over the (positive) gcd of its coefficients."""
+    g = math.gcd(*p)
+    return [c // g for c in p] if g > 1 else p
+
+
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """The remainder of a by b, times a power of |lc(b)|, made primitive:
+    each step scales a by |lc(b)| before cancelling its leading term, so
+    the result is a positive multiple of the rational remainder."""
+    a = a[:]
+    lead, sign = abs(b[-1]), _sign(b[-1])
+    while _trim(a) and len(a) >= len(b):
+        shift, factor = len(a) - len(b), sign * a.pop()
+        if lead != 1:
+            a = [lead * c for c in a]
+        for i, c in enumerate(b[:-1]):
+            a[shift + i] -= factor * c
+    return _primitive(a)
+
+
+def _int_gcd(a: list[int], b: list[int]) -> list[int]:
+    """gcd of a and a primitive b by primitive remainders: primitive, and a
+    nonzero multiple of the monic rational gcd."""
+    while b:
+        a, b = b, _prem(a, b)
+    return a
+
+
+def _exact_div(a: list[int], b: list[int]) -> list[int]:
+    """a / b for a primitive b dividing a over the rationals; by Gauss's
+    lemma the quotient is integral, so every leading division is exact."""
+    a = a[:]
+    q = [0] * (len(a) - len(b) + 1)
+    for shift in reversed(range(len(q))):
+        q[shift] = factor = a.pop() // b[-1]
+        for i, c in enumerate(b[:-1]):
+            a[shift + i] -= factor * c
+    return q
+
+
+def _int_sturm_chain(p: list[int]) -> list[list[int]]:
+    """Sturm chain of a square-free integer p of degree >= 1, each entry a
+    positive multiple of the rational chain's: p, p', then negated
+    primitive pseudo-remainders down to a nonzero constant."""
+    chain = [p, _primitive(_deriv(p))]
+    while len(chain[-1]) > 1:
+        chain.append([-c for c in _prem(chain[-2], chain[-1])])
+    return chain
+
+
+def _squarefree_layers(coeffs: Sequence[int | Fraction]) -> Iterator[list[int]]:
+    """Square-free layers p/g1, g1/g2, ... of p (deg >= 1), g0 = p and
+    g(k+1) = gcd(gk, gk'), each gcd built once and lazily: a root of
+    multiplicity m is a simple root of each of the first m layers."""
+    p = _int_poly(coeffs)
+    while len(p) > 1:
+        g = _int_gcd(p, _primitive(_deriv(p)))
+        yield _exact_div(p, g)
+        p = g
+
+
+def _sign_at(p: list[int], num: int, den: int) -> int:
+    """Sign of p(num/den), den > 0: Horner's rule on den^deg p(num/den)."""
+    acc, scale = 0, 1
+    for c in reversed(p):
+        acc = acc * num + c * scale
+        scale *= den
+    return _sign(acc)
 
 
 def _layer_roots(coeffs: Sequence[int | Fraction]) -> list[tuple[int, int]]:
     """Distinct roots on (-inf, 0) and on (0, inf) of each square-free
     layer, from one Sturm chain: the leading terms give V(-inf) and
-    V(+inf), and a root at 0, which V(-inf) - V(0) counts, is taken off
-    the negative side."""
+    V(+inf), the constant terms V(0), and a root at 0, which
+    V(-inf) - V(0) counts, is taken off the negative side."""
     counts = []
     for layer in _squarefree_layers(coeffs):
-        chain = _sturm_chain(layer)
+        chain = _int_sturm_chain(layer)
         at_minus = _variations([_sign(poly[-1]) * (-1) ** (len(poly) - 1) for poly in chain])
         at_zero = _variations([_sign(poly[0]) for poly in chain])
         at_plus = _variations([_sign(poly[-1]) for poly in chain])
@@ -211,24 +291,22 @@ def _layer_roots(coeffs: Sequence[int | Fraction]) -> list[tuple[int, int]]:
 
 
 def count_real_roots(coeffs: Sequence[int | Fraction], positive: bool) -> int:
-    """Real roots (with multiplicity) of an integer polynomial of degree
-    >= 1 on the half-line (0, inf), or (-inf, 0) for positive=False."""
+    """Real roots (with multiplicity) of a polynomial of degree >= 1 on the
+    half-line (0, inf), or (-inf, 0) for positive=False."""
     return sum(counts[positive] for counts in _layer_roots(coeffs))
-
-
-def count_real_roots_upto(coeffs: Sequence[int | Fraction], upper: Fraction) -> int:
-    """Distinct roots in (0, upper] (degree >= 1), exact. Used for divergence detection."""
-    return _roots_upto(_sturm_chain(next(_squarefree_layers(coeffs))), Fraction(upper))
 
 
 def least_positive_root(coeffs: Sequence[int]) -> float:
     """Smallest float y with a root of the polynomial in (0, y], for a
-    polynomial with a root in (0, 1]: float bisection, each midpoint decided
-    exactly on one Sturm chain, until the bracket is two adjacent floats."""
-    chain = _sturm_chain(next(_squarefree_layers(coeffs)))
+    polynomial with a root in (0, 1]: float bisection, each midpoint (a
+    dyadic rational) decided exactly on one integer Sturm chain by
+    V(0) - V(mid), until the bracket is two adjacent floats."""
+    chain = _int_sturm_chain(next(_squarefree_layers(coeffs)))
+    at_zero = _variations([_sign(poly[0]) for poly in chain])
     lo, hi = 0.0, 1.0
     while lo < (mid := (lo + hi) / 2) < hi:
-        if _roots_upto(chain, Fraction(mid)):
+        num, den = mid.as_integer_ratio()
+        if at_zero - _variations([_sign_at(poly, num, den) for poly in chain]):
             hi = mid
         else:
             lo = mid
@@ -259,7 +337,7 @@ def is_valid_statistics(spec: StatisticsSpec) -> ClassificationReport:
     """Admissibility gate: all roots real and strictly negative
     (fermionic-like) or strictly positive (bosonic-like), counted with
     multiplicity by exact Sturm sequences.  ``irreducible`` is None past
-    the factorization bound."""
+    either factorization bound."""
     deg = spec.order
     wanted_positive = not spec.is_fermionic_like
     layers = _layer_roots(build_polynomial(spec))
@@ -275,9 +353,14 @@ def is_valid_statistics(spec: StatisticsSpec) -> ClassificationReport:
             f"all roots must be real and strictly {side}"
         )
 
+    try:
+        irreducible = is_irreducible_statistics(spec)
+    except ResourceGuardError:  # past either factorization bound
+        irreducible = None
+
     return ClassificationReport(
         valid=valid,
-        irreducible=None if deg > FACTORIZATION_DEGREE_BOUND else is_irreducible_statistics(spec),
+        irreducible=irreducible,
         order=deg,
         max_occupation=max_occupation(spec) if valid else None,
         roots_summary=dict(zip(("negative", "positive"), layers[0])),
@@ -335,7 +418,9 @@ def _lagrange_interpolate(points: list[tuple[int, int]]) -> list[Fraction]:
 
 def is_irreducible_statistics(spec: StatisticsSpec) -> bool:
     """True iff the defining polynomial has no factorization into two
-    non-constant integer polynomials (Kronecker trial factorization)."""
+    non-constant integer polynomials (Kronecker trial factorization).
+    Raises ResourceGuardError past FACTORIZATION_DEGREE_BOUND, or when
+    FACTORIZATION_TRIAL_BOUND candidate factors have not settled it."""
     return _is_irreducible(build_polynomial(spec))
 
 
@@ -352,6 +437,7 @@ def _is_irreducible(coeffs: list[int]) -> bool:
         return False
     frac = [Fraction(c) for c in coeffs]
     sample_xs = [0] + [v for k in range(1, deg + 1) for v in (k, -k)]
+    trials = 0
     for m in range(2, deg // 2 + 1):
         xs = sample_xs[: m + 1]
         values = [int(_poly_eval(frac, Fraction(x))) for x in xs]
@@ -359,7 +445,7 @@ def _is_irreducible(coeffs: list[int]) -> bool:
         divisor_lists = [_divisors(values[0])] + [
             [s * d for d in _divisors(v) for s in (1, -1)] for v in values[1:]
         ]
-        for combo in product(*divisor_lists):
+        for combo in islice(product(*divisor_lists), FACTORIZATION_TRIAL_BOUND - trials):
             cand = _lagrange_interpolate(list(zip(xs, combo)))
             if len(cand) - 1 != m:
                 continue
@@ -368,6 +454,15 @@ def _is_irreducible(coeffs: list[int]) -> bool:
             quot, rem = _divmod_poly(frac, cand)
             if not rem and all(c.denominator == 1 for c in quot):
                 return False
+        # the slice stops the search, so a label within the bound counts
+        # only once per factor degree
+        trials += math.prod(map(len, divisor_lists))
+        if trials > FACTORIZATION_TRIAL_BOUND:
+            raise ResourceGuardError(
+                f"factorization guard exceeded: trials={trials} (or more) > "
+                f"FACTORIZATION_TRIAL_BOUND={FACTORIZATION_TRIAL_BOUND}, "
+                f"stopped after {FACTORIZATION_TRIAL_BOUND}"
+            )
     return True
 
 

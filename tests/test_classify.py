@@ -165,6 +165,19 @@ class TestIrreducibility:
         assert r.valid and r.irreducible is None
         assert r.roots_summary == {"negative": 1, "positive": 0}
 
+    def test_trial_guard(self, monkeypatch):
+        # 512 trials for quadratic factors, 24,576 for cubic ones: the real
+        # bound would stop after about a second, each way
+        monkeypatch.setattr(classify, "FACTORIZATION_TRIAL_BOUND", 600)
+        spec = fspec(138, 583, 868, 822, 783, 65, 262)
+        with pytest.raises(ResourceGuardError,
+                           match=r"trials=25088 \(or more\) > FACTORIZATION_TRIAL_BOUND=600, stopped after 600$"):
+            is_irreducible_statistics(spec)
+        r = is_valid_statistics(spec)
+        assert not r.valid and r.irreducible is None
+        # within the bound the verdict is unchanged: (x^2+x+1)(2x^2+2x+1)
+        assert is_irreducible_statistics(fspec(1, 3, 5, 4, 2)) is False
+
     def test_matches_sympy_on_degree_4_and_5_grid(self):
         # trial division once lost track of the remainder's degree here
         sympy = pytest.importorskip("sympy")
@@ -705,8 +718,9 @@ class TestRootednessPositivityEquivalence:
 
 class TestRootCounting:
     def test_counts_with_multiplicity(self):
-        # (1+x)^2 (1+2x)
+        # (1+x)^2 (1+2x), and the same over 6: denominators are cleared first
         assert count_real_roots([2, 5, 4, 1][::-1], positive=False) == 3
+        assert count_real_roots([Fraction(1, 6), Fraction(2, 3), Fraction(5, 6), Fraction(1, 3)], positive=False) == 3
 
     def test_no_roots_on_wrong_side(self):
         assert count_real_roots([1, 1], positive=True) == 0
@@ -753,14 +767,14 @@ class TestRootCounting:
         specs = [fspec(1, 2, 1), bspec(1, 4, 4), fspec(2, 5, 4, 1), bspec(1, 3, 3, 1), fspec(1, 1, 1),
                  bspec(1, 1, 1), fspec(1, 2, 2, 1), bspec(1, 2, 2, 1)]
         for _ in range(150):
-            kind, deg = rng.choice([F, B]), rng.randint(1, 6)
+            kind, deg = rng.choice([F, B]), rng.randint(1, 8)
             if rng.random() < 0.4:  # real roots, often repeated
                 q = [1]
                 for _ in range(deg):
                     r = rng.randint(1, 3)
                     q = [a + r * b for a, b in zip(q + [0], [0] + q)]
             else:
-                q = [1 if kind is B else rng.randint(1, 4)] + [rng.randint(1, 9) for _ in range(deg)]
+                q = [1 if kind is B else rng.randint(1, 999)] + [rng.randint(1, 999) for _ in range(deg)]
             specs.append(StatisticsSpec(kind, q))
         for spec in specs:
             negative, positive = self._sympy_half_lines(build_polynomial(spec))
@@ -772,12 +786,16 @@ class TestRootCounting:
         # roots on both sides, at 0 and repeated are checked on the reader
         rng = random.Random(13)
         for _ in range(150):
-            coeffs = [1]
-            for _ in range(rng.randint(1, 6)):
-                num, den = rng.randint(-3, 3), rng.randint(1, 2)
-                coeffs = [den * a - num * b for a, b in zip([0] + coeffs, coeffs + [0])]
-            if rng.random() < 0.3:  # a factor without real roots
-                coeffs = [a + b for a, b in zip(coeffs + [0, 0], [0, 0] + coeffs)]
+            deg = rng.randint(1, 8)
+            if rng.random() < 0.3:  # three-digit coefficients of either sign
+                coeffs = [rng.randint(-999, 999) for _ in range(deg)] + [rng.choice([-1, 1]) * rng.randint(1, 999)]
+            else:
+                coeffs = [1]
+                for _ in range(deg):
+                    num, den = rng.randint(-3, 3), rng.randint(1, 2)
+                    coeffs = [den * a - num * b for a, b in zip([0] + coeffs, coeffs + [0])]
+                if rng.random() < 0.3:  # a factor without real roots
+                    coeffs = [a + b for a, b in zip(coeffs + [0, 0], [0, 0] + coeffs)]
             assert _layer_roots(coeffs)[0] == self._sympy_half_lines(coeffs), coeffs
 
     @pytest.mark.parametrize("spec, chains", [(fspec(1, 3, 2), 1), (bspec(1, 6, 11, 6), 1), (fspec(1, 1, 1), 1),
@@ -785,16 +803,18 @@ class TestRootCounting:
                              ids=lambda v: v.label() if isinstance(v, StatisticsSpec) else str(v))
     def test_gate_builds_one_chain_per_layer(self, monkeypatch, spec, chains):
         calls = collections.Counter()
-        for name in ("_sturm_chain", "_gcd_poly"):
+        for name in ("_int_sturm_chain", "_int_gcd", "_sturm_chain", "_gcd_poly"):
             def counting(*args, _f=getattr(classify, name), _name=name):
                 calls[_name] += 1
                 return _f(*args)
 
             monkeypatch.setattr(classify, name, counting)
         is_valid_statistics(spec)
-        # one gcd and one chain per square-free layer, a layer per multiplicity
-        assert calls == {"_sturm_chain": chains, "_gcd_poly": chains}
+        # one integer gcd and chain per square-free layer, a layer per
+        # multiplicity, and no rational chain
+        assert calls == {"_int_sturm_chain": chains, "_int_gcd": chains}
         calls.clear()
+        # the divergence test keeps its one rational gcd and chain
         count_real_roots_upto(build_polynomial(spec), Fraction(1))
         assert calls == {"_sturm_chain": 1, "_gcd_poly": 1}
 

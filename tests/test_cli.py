@@ -66,6 +66,12 @@ class TestClassifyCommand:
         assert code == 0
         assert doc["valid"] and doc["irreducible"] is None
 
+    def test_irreducibility_null_past_trial_bound(self, capsys):
+        # over 3.6 million Kronecker trials: stops after the bound's 4,000
+        code, doc, _ = run_json(capsys, "classify", "138,583,868,822,783,65,262,121,508:-")
+        assert code == EXPECT_INVALID
+        assert not doc["valid"] and doc["irreducible"] is None
+
 
 class TestDecomposeCommand:
     def test_order_one_table(self, capsys):
