@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice, product
 from typing import Iterator, Sequence
@@ -325,48 +325,45 @@ def _poly_eval(p: Sequence, x):
 # validity and irreducibility
 
 
+def _gate_report(spec: StatisticsSpec) -> ClassificationReport:
+    """The validity gate's report, ``irreducible`` left None: all roots real
+    and strictly negative (fermionic-like) or strictly positive
+    (bosonic-like), counted with multiplicity by exact Sturm sequences."""
+    side = "negative" if spec.is_fermionic_like else "positive"
+    layers = _layer_roots(build_polynomial(spec))
+    with_mult = sum(counts[side == "positive"] for counts in layers)
+    valid = with_mult == spec.order
+    return ClassificationReport(
+        valid=valid,
+        irreducible=None,
+        order=spec.order,
+        max_occupation=max_occupation(spec) if valid else None,
+        roots_summary=dict(zip(("negative", "positive"), layers[0])),
+        unique_vacuum=spec.unique_vacuum,
+        failure_reason=None if valid else (
+            f"defining polynomial has {with_mult} real {side} roots "
+            f"(with multiplicity) out of degree {spec.order}; "
+            f"all roots must be real and strictly {side}"
+        ),
+    )
+
+
 def require_valid(spec: StatisticsSpec) -> None:
     """The validity gate every operation on a label passes through: raises
-    InvalidStatisticsError, carrying the full report, for invalid labels.
-    Builds the report (with its Kronecker factorization) only then."""
+    InvalidStatisticsError for invalid labels, carrying the gate's report
+    (built only then, with ``irreducible`` None: no factorization is run)."""
     if count_real_roots(build_polynomial(spec), not spec.is_fermionic_like) != spec.order:
-        raise InvalidStatisticsError(is_valid_statistics(spec))
+        raise InvalidStatisticsError(_gate_report(spec))
 
 
 def is_valid_statistics(spec: StatisticsSpec) -> ClassificationReport:
-    """Admissibility gate: all roots real and strictly negative
-    (fermionic-like) or strictly positive (bosonic-like), counted with
-    multiplicity by exact Sturm sequences.  ``irreducible`` is None past
-    either factorization bound."""
-    deg = spec.order
-    wanted_positive = not spec.is_fermionic_like
-    layers = _layer_roots(build_polynomial(spec))
-    with_mult = sum(counts[wanted_positive] for counts in layers)
-    valid = with_mult == deg
-
-    reason = None
-    if not valid:
-        side = "positive" if wanted_positive else "negative"
-        reason = (
-            f"defining polynomial has {with_mult} real {side} roots "
-            f"(with multiplicity) out of degree {deg}; "
-            f"all roots must be real and strictly {side}"
-        )
-
+    """The gate's report with the Kronecker verdict filled in; ``irreducible``
+    is None past either factorization bound."""
     try:
         irreducible = is_irreducible_statistics(spec)
     except ResourceGuardError:  # past either factorization bound
         irreducible = None
-
-    return ClassificationReport(
-        valid=valid,
-        irreducible=irreducible,
-        order=deg,
-        max_occupation=max_occupation(spec) if valid else None,
-        roots_summary=dict(zip(("negative", "positive"), layers[0])),
-        unique_vacuum=spec.unique_vacuum,
-        failure_reason=reason,
-    )
+    return replace(_gate_report(spec), irreducible=irreducible)
 
 
 def max_occupation(spec: StatisticsSpec) -> int | None:
@@ -376,24 +373,42 @@ def max_occupation(spec: StatisticsSpec) -> int | None:
     return None
 
 
+def _trial_guard(trials: int) -> ResourceGuardError:
+    return ResourceGuardError(
+        f"factorization guard exceeded: trials={trials} (or more) > "
+        f"FACTORIZATION_TRIAL_BOUND={FACTORIZATION_TRIAL_BOUND}, "
+        f"stopped after {FACTORIZATION_TRIAL_BOUND}"
+    )
+
+
 def _divisors(n: int) -> list[int]:
-    """The positive divisors of n != 0, ascending."""
+    """The positive divisors of n != 0, ascending, by trial division: refused
+    past FACTORIZATION_TRIAL_BOUND**2 divisions, about the bound's second."""
     n = abs(n)
-    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    root = math.isqrt(n)
+    if root > FACTORIZATION_TRIAL_BOUND**2:
+        raise ResourceGuardError(
+            f"factorization guard exceeded: trials={root} (or more) > "
+            f"FACTORIZATION_TRIAL_BOUND**2={FACTORIZATION_TRIAL_BOUND**2}, stopped after 0"
+        )
+    small = [d for d in range(1, root + 1) if n % d == 0]
     return sorted(set(small + [n // d for d in small]))
 
 
 def _has_rational_root(coeffs: list[int]) -> bool:
-    """Rational root test: a root num/den has num | q0 and den | q_deg."""
-    frac = [Fraction(c) for c in coeffs]
+    """Rational root test: a root num/den has num | q0 and den | q_deg.
+    Each candidate is a trial: past FACTORIZATION_TRIAL_BOUND of them, with
+    no root among the first ones, it raises ResourceGuardError."""
     nums = _divisors(coeffs[0]) if coeffs[0] else [0]
     dens = _divisors(coeffs[-1])
-    return any(
-        _poly_eval(frac, Fraction(sign * num, den)) == 0
-        for num in nums
-        for den in dens
-        for sign in (1, -1)
-    )
+    candidates = ((sign * num, den) for num in nums for den in dens for sign in (1, -1))
+    if any(_sign_at(coeffs, num, den) == 0
+           for num, den in islice(candidates, FACTORIZATION_TRIAL_BOUND)):
+        return True
+    trials = 2 * len(nums) * len(dens)
+    if trials > FACTORIZATION_TRIAL_BOUND:
+        raise _trial_guard(trials)
+    return False
 
 
 def _lagrange_interpolate(points: list[tuple[int, int]]) -> list[Fraction]:
@@ -440,16 +455,14 @@ def _is_irreducible(coeffs: list[int]) -> bool:
     trials = 0
     for m in range(2, deg // 2 + 1):
         xs = sample_xs[: m + 1]
-        values = [int(_poly_eval(frac, Fraction(x))) for x in xs]
+        values = [_poly_eval(coeffs, x) for x in xs]
         # factor sign is irrelevant: pin the first divisor positive
         divisor_lists = [_divisors(values[0])] + [
             [s * d for d in _divisors(v) for s in (1, -1)] for v in values[1:]
         ]
         for combo in islice(product(*divisor_lists), FACTORIZATION_TRIAL_BOUND - trials):
             cand = _lagrange_interpolate(list(zip(xs, combo)))
-            if len(cand) - 1 != m:
-                continue
-            if any(c.denominator != 1 for c in cand):
+            if len(cand) - 1 != m or any(c.denominator != 1 for c in cand):
                 continue
             quot, rem = _divmod_poly(frac, cand)
             if not rem and all(c.denominator == 1 for c in quot):
@@ -458,11 +471,7 @@ def _is_irreducible(coeffs: list[int]) -> bool:
         # only once per factor degree
         trials += math.prod(map(len, divisor_lists))
         if trials > FACTORIZATION_TRIAL_BOUND:
-            raise ResourceGuardError(
-                f"factorization guard exceeded: trials={trials} (or more) > "
-                f"FACTORIZATION_TRIAL_BOUND={FACTORIZATION_TRIAL_BOUND}, "
-                f"stopped after {FACTORIZATION_TRIAL_BOUND}"
-            )
+            raise _trial_guard(trials)
     return True
 
 

@@ -124,17 +124,23 @@ def bosonic_rep(g: np.ndarray, N: int) -> SectorRep:
     return sector_rep(StatisticsSpec(Kind.BOSONIC_LIKE, (1, 1)), g, N)
 
 
+def _require_sector(spec: StatisticsSpec, N: int) -> None:
+    """Checks on a sector before any state is built: an order-one label with
+    unique vacuum (so N counts particles), and a bosonic N within the guard."""
+    _require_order_one(spec)
+    if not spec.is_fermionic_like and N > PERMANENT_GUARD:
+        raise ResourceGuardError(
+            f"permanent guard exceeded: N={N} > PERMANENT_GUARD={PERMANENT_GUARD}"
+        )
+
+
 def _sector(spec: StatisticsSpec, g: np.ndarray, N: int):
     """Excitation-N basis of an order-one label with unique vacuum, and the
     column of the sector matrix at a basis state: the ordinary column of its
     particle content, each output carrying the input's auxiliary digits
     (flattened in mode order), as the identity on hidden labels."""
-    _require_order_one(spec)  # before enumerating either basis
+    _require_sector(spec, N)  # before enumerating either basis
     d, fermionic = g.shape[0], spec.is_fermionic_like
-    if not fermionic and N > PERMANENT_GUARD:
-        raise ResourceGuardError(
-            f"permanent guard exceeded: N={N} > PERMANENT_GUARD={PERMANENT_GUARD}"
-        )
     basis = tuple(sector_states(spec, d, N))
     if not basis:
         raise ValueError(f"sector N={N} is empty on {d} modes")

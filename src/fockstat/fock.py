@@ -6,14 +6,16 @@ plus auxiliary labels; that bijection (and its inverse) lives here and is
 what the explicit representations in :mod:`fockstat.dynamics` conjugate by.
 One private codec, :func:`_split_occupation` and :func:`_join_occupation`,
 owns the auxiliary-digit format for both kinds; every public form of the
-labels is an adapter over it.
+labels is an adapter over it.  One cached block-start table per label,
+:func:`_starts`, gives the excitations, the codec's offsets and the basis.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
 from typing import Sequence
 
 from .classify import (
@@ -78,32 +80,33 @@ class SectorDecomposition:
 
 
 @lru_cache(maxsize=64)
-def _char_coeffs(spec: StatisticsSpec, horizon: int) -> tuple[int, ...]:
-    return single_mode_character(spec, horizon).coeffs
+def _block_starts(spec: StatisticsSpec, horizon: int) -> tuple[int, ...]:
+    """starts[0..horizon + 1] of :func:`_starts` (0..order + 1 if fermionic-like)."""
+    return tuple(accumulate(single_mode_character(spec, horizon).coeffs, initial=0))
+
+
+def _starts(spec: StatisticsSpec, occupation: int = 0, excitation: int = 0) -> tuple[int, ...]:
+    """Block-start table of a valid label: starts[s] = a_0 + ... + a_(s-1),
+    a the character coefficients, so the occupations of excitation s fill
+    [starts[s], starts[s + 1]).  A fermionic-like table is whole, its last
+    start the exclusion bound plus one; a bosonic-like one doubles its
+    horizon until it holds a start past ``occupation`` and ``excitation``'s."""
+    if spec.is_fermionic_like:
+        return _block_starts(spec, spec.order)
+    horizon = max(spec.order, 2)
+    while (starts := _block_starts(spec, horizon))[-1] <= occupation or len(starts) <= excitation:
+        horizon *= 2
+    return starts
 
 
 def excitation_of(spec: StatisticsSpec, n: int) -> int:
     """Excitation value f_n of the single-mode occupation n."""
     if n < 0:
         raise ValueError("occupation must be non-negative")
-    if spec.is_fermionic_like:
-        coeffs = _char_coeffs(spec, spec.order)
-        total = sum(coeffs)
-        if n >= total:
-            raise ValueError(
-                f"occupation {n} exceeds the exclusion bound p={total - 1}"
-            )
-    else:
-        horizon = max(spec.order, 2)
-        while sum(_char_coeffs(spec, horizon)) <= n:
-            horizon *= 2
-        coeffs = _char_coeffs(spec, horizon)
-    cum = 0
-    for s, mult in enumerate(coeffs):
-        cum += mult
-        if n < cum:
-            return s
-    raise AssertionError("unreachable")
+    starts = _starts(spec, n)
+    if n >= starts[-1]:  # only a fermionic-like table can end there
+        raise ValueError(f"occupation {n} exceeds the exclusion bound p={starts[-1] - 1}")
+    return bisect_right(starts, n) - 1
 
 
 def excitation_number(spec: StatisticsSpec, state: Sequence[int]) -> int:
@@ -118,13 +121,6 @@ def state_energy(
     if len(energies) != len(state):
         raise ValueError("energies must list one value per mode")
     return float(sum(e * excitation_of(spec, n) for e, n in zip(energies, state)))
-
-
-def _max_single_occupation(spec: StatisticsSpec, cutoff: int) -> int:
-    """Largest occupation whose excitation stays within the cutoff."""
-    horizon = max(spec.order, cutoff)
-    coeffs = _char_coeffs(spec, horizon)
-    return sum(coeffs[: cutoff + 1]) - 1
 
 
 def enumerate_basis(
@@ -146,8 +142,9 @@ def enumerate_basis(
         raise ValueError(
             "bosonic-like bases are infinite: excitation_cutoff is mandatory"
         )
-    n_max = _max_single_occupation(spec, excitation_cutoff)
-    f_of = [excitation_of(spec, n) for n in range(n_max + 1)]
+    starts = _starts(spec, excitation=excitation_cutoff + 1)
+    # f_of[n] for every occupation n whose excitation is within the cutoff
+    f_of = [s for s in range(excitation_cutoff + 1) for _ in range(starts[s], starts[s + 1])]
 
     states: list[OccupationState] = []
 
@@ -155,9 +152,9 @@ def enumerate_basis(
         if len(prefix) == d:
             states.append(prefix)
             return
-        for n in range(n_max + 1):
-            if f_of[n] <= budget:
-                rec(prefix + (n,), budget - f_of[n])
+        for n, f in enumerate(f_of):
+            if f <= budget:
+                rec(prefix + (n,), budget - f)
 
     rec((), excitation_cutoff)
     states.sort(key=lambda s: tuple(reversed(s)))
@@ -232,25 +229,11 @@ def _require_order_one(spec: StatisticsSpec) -> None:
         )
 
 
-def _block_start(beta: int, k: int) -> int:
-    """First occupation with excitation k for an order-one label [1,beta]."""
-    if beta == 1:
-        return k
-    return (beta**k - 1) // (beta - 1)
-
-
 def _split_occupation(spec: StatisticsSpec, n: int) -> tuple[int, tuple[int, ...]]:
     """Particle count k of a single-mode occupation and its k base-q
     auxiliary digits, most significant first (k <= 1 for fermionic-like)."""
-    q = spec.q[1]
-    if n < 0:
-        raise ValueError("occupation must be non-negative")
-    if spec.is_fermionic_like and n > q:
-        raise ValueError(f"occupation {n} exceeds the exclusion bound p={q}")
-    k = 0
-    while _block_start(q, k + 1) <= n:
-        k += 1
-    return k, aux_digits(n - _block_start(q, k), q, k)
+    k = excitation_of(spec, n)
+    return k, aux_digits(n - _starts(spec, n)[k], spec.q[1], k)
 
 
 def _join_occupation(spec: StatisticsSpec, k: int, digits: Sequence[int]) -> int:
@@ -265,7 +248,7 @@ def _join_occupation(spec: StatisticsSpec, k: int, digits: Sequence[int]) -> int
         raise ValueError(f"digit string {digits} must have length k={k}")
     if any(not 0 <= v < q for v in digits):
         raise ValueError(f"auxiliary digits {digits} outside base {q}")
-    return _block_start(q, k) + sum(v * q**i for i, v in enumerate(reversed(digits)))
+    return _starts(spec, excitation=k)[k] + sum(v * q**i for i, v in enumerate(reversed(digits)))
 
 
 def aux_digits(z: int, q: int, k: int) -> tuple[int, ...]:

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import functools
 import gc
 import math
@@ -24,6 +25,7 @@ from fockstat.classify import (
     is_valid_statistics,
     least_positive_root,
     max_occupation,
+    require_valid,
     single_mode_character,
     totally_positive_upto,
 )
@@ -177,6 +179,38 @@ class TestIrreducibility:
         assert not r.valid and r.irreducible is None
         # within the bound the verdict is unchanged: (x^2+x+1)(2x^2+2x+1)
         assert is_irreducible_statistics(fspec(1, 3, 5, 4, 2)) is False
+
+    def test_pre_trial_guards(self, monkeypatch):
+        # rational-root candidates count as trials: 2 * 6,720**2 of them here
+        spec = fspec(963761198400, 1, 963761198400)
+        with pytest.raises(ResourceGuardError,
+                           match=r"trials=90316800 \(or more\) > FACTORIZATION_TRIAL_BOUND=4000, stopped after 4000$"):
+            is_irreducible_statistics(spec)
+        # a divisor search past the bound squared is refused before it starts
+        with pytest.raises(ResourceGuardError,
+                           match=rf"trials={10**15} \(or more\) > FACTORIZATION_TRIAL_BOUND\*\*2=16000000, stopped after 0$"):
+            is_irreducible_statistics(fspec(10**30, 1, 1))
+        # (2x + 3)(x + 1) has 8 candidates, the root -1 second among them
+        monkeypatch.setattr(classify, "FACTORIZATION_TRIAL_BOUND", 2)
+        assert is_irreducible_statistics(fspec(3, 5, 2)) is False
+        monkeypatch.setattr(classify, "FACTORIZATION_TRIAL_BOUND", 1)
+        with pytest.raises(ResourceGuardError, match=r"trials=8 \(or more\)"):
+            is_irreducible_statistics(fspec(3, 5, 2))
+
+    def test_require_valid_runs_no_factorization(self, monkeypatch):
+        def refuse(spec):
+            raise AssertionError("Kronecker reached through require_valid")
+
+        spec = fspec(138, 583, 868, 822, 783, 65, 262)
+        full = is_valid_statistics(spec)
+        monkeypatch.setattr(classify, "is_irreducible_statistics", refuse)
+        with pytest.raises(InvalidStatisticsError) as exc:
+            require_valid(spec)
+        # the gate's report, the same as is_valid_statistics' but for irreducible
+        assert exc.value.report.irreducible is None
+        assert exc.value.report == dataclasses.replace(full, irreducible=None)
+        assert str(exc.value) == full.failure_reason
+        require_valid(fspec(1, 2))
 
     def test_matches_sympy_on_degree_4_and_5_grid(self):
         # trial division once lost track of the remainder's degree here

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -69,6 +70,17 @@ class TestClassifyCommand:
     def test_irreducibility_null_past_trial_bound(self, capsys):
         # over 3.6 million Kronecker trials: stops after the bound's 4,000
         code, doc, _ = run_json(capsys, "classify", "138,583,868,822,783,65,262,121,508:-")
+        assert code == EXPECT_INVALID
+        assert not doc["valid"] and doc["irreducible"] is None
+
+    @pytest.mark.parametrize("label", [
+        "963761198400,1,963761198400:-",  # 6,720 divisors at each end: 90M rational roots
+        "1000000000000000000000000000000,1,1:-",  # a divisor search of 10^15 divisions
+    ])
+    def test_irreducibility_null_past_the_pre_trial_bounds(self, capsys, label):
+        start = time.perf_counter()
+        code, doc, _ = run_json(capsys, "classify", label)
+        assert time.perf_counter() - start < 5
         assert code == EXPECT_INVALID
         assert not doc["valid"] and doc["irreducible"] is None
 
@@ -241,6 +253,18 @@ class TestSimulateCommand:
         assert code == EXPECT_PARSE
         assert out == ""
         assert "usage: --unitary haar SEED" in err
+
+    def test_permanent_guard_before_the_input_is_built(self, capsys):
+        # ten million particles: the guard answers before any of them is built
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "simulate", "1,1:+", "--modes", "2", "--input", "10000000,0",
+            "--unitary", "bs",
+        )
+        assert time.perf_counter() - start < 5
+        assert code == EXPECT_PARSE
+        assert out == ""
+        assert "permanent guard exceeded: N=10000000 > PERMANENT_GUARD=8" in err
 
     def test_beamsplitter_takes_no_argument(self, capsys):
         code, out, err = run(

@@ -20,7 +20,7 @@ from fockstat.fock import (
     state_energy,
     to_labeled,
 )
-from fockstat.fock import _char_coeffs
+from fockstat.fock import _block_starts, _join_occupation, _split_occupation, _starts, aux_digits
 from fockstat.symfunc import Partition, schur_dimension, schur_expand_oracle
 
 F, B = Kind.FERMIONIC_LIKE, Kind.BOSONIC_LIKE
@@ -79,7 +79,7 @@ class TestExcitation:
         assert excitation_number(spec, (4, 0)) == 2
 
     def test_character_memo_is_bounded(self):
-        assert _char_coeffs.cache_info().maxsize is not None
+        assert _block_starts.cache_info().maxsize is not None
 
     def test_occupation_beyond_bound_rejected(self):
         with pytest.raises(ValueError):
@@ -265,6 +265,21 @@ class TestLabelCodec:
         for bad_ordinary, bad_aux in bad:
             with pytest.raises(ValueError):
                 from_labeled(spec, LabeledState(tuple(bad_ordinary), tuple(bad_aux)))
+
+    def test_block_starts_match_the_closed_form(self):
+        # [1,q] puts q**s occupations in block s, so block k starts at
+        # 1 + q + ... + q**(k-1); a fermionic-like table ends after block 1
+        for kind, q in product((F, B), (1, 2, 3)):
+            spec = StatisticsSpec(kind, (1, q))
+            for k in range(3 if kind is F else 7):
+                start = k if q == 1 else (q**k - 1) // (q - 1)
+                assert _starts(spec, excitation=k)[k] == start
+                if k > 1 and kind is F:
+                    continue
+                for z in range(q**k):
+                    digits = aux_digits(z, q, k)
+                    assert _join_occupation(spec, k, digits) == start + z
+                    assert _split_occupation(spec, start + z) == (k, digits)
 
     def test_aux_integers_default_to_zero_digits(self):
         assert from_aux_integers(bspec(1, 2), (2, 0, 1)) == (3, 0, 1)
