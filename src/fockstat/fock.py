@@ -25,7 +25,7 @@ from .classify import (
     require_valid,
     single_mode_character,
 )
-from .errors import UnsupportedStatisticsError
+from .errors import ResourceGuardError, UnsupportedStatisticsError
 from .symfunc import Partition, schur_dimension, schur_expand_product
 
 __all__ = [
@@ -45,6 +45,11 @@ __all__ = [
 ]
 
 OccupationState = tuple[int, ...]
+
+# Largest horizon a bosonic-like block-start table doubles to: 1,1:+ then
+# covers occupations below 4,097, while a sector of PERMANENT_GUARD = 8
+# particles needs a horizon of 8 under any order-one label.
+STARTS_HORIZON_BOUND = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -90,12 +95,19 @@ def _starts(spec: StatisticsSpec, occupation: int = 0, excitation: int = 0) -> t
     a the character coefficients, so the occupations of excitation s fill
     [starts[s], starts[s + 1]).  A fermionic-like table is whole, its last
     start the exclusion bound plus one; a bosonic-like one doubles its
-    horizon until it holds a start past ``occupation`` and ``excitation``'s."""
+    horizon until it holds a start past ``occupation`` and ``excitation``'s,
+    and raises ResourceGuardError past STARTS_HORIZON_BOUND."""
     if spec.is_fermionic_like:
         return _block_starts(spec, spec.order)
     horizon = max(spec.order, 2)
     while (starts := _block_starts(spec, horizon))[-1] <= occupation or len(starts) <= excitation:
         horizon *= 2
+        if horizon > STARTS_HORIZON_BOUND:
+            raise ResourceGuardError(
+                f"block-start guard exceeded: {spec.label()} asks occupation {occupation}, "
+                f"excitation {excitation}; STARTS_HORIZON_BOUND={STARTS_HORIZON_BOUND} "
+                f"covers occupations below {starts[-1]} and excitations below {len(starts)}"
+            )
     return starts
 
 

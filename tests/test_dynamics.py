@@ -1,7 +1,9 @@
 import math
+from itertools import chain
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fockstat import dynamics
 from fockstat.classify import Kind, StatisticsSpec
@@ -23,7 +25,7 @@ from fockstat.errors import (
     ResourceGuardError,
     UnsupportedStatisticsError,
 )
-from fockstat.fock import enumerate_basis, excitation_of, sector_states
+from fockstat.fock import enumerate_basis, excitation_of, sector_states, to_labeled
 
 F, B = Kind.FERMIONIC_LIKE, Kind.BOSONIC_LIKE
 F11 = StatisticsSpec(F, (1, 1))
@@ -32,6 +34,31 @@ F12 = StatisticsSpec(F, (1, 2))
 B12 = StatisticsSpec(B, (1, 2))
 
 SPECS = [F11, B11, F12, B12]
+
+# bosonic amplitudes agree with the Ryser route to this absolute tolerance
+RYSER_TOL = 1e-12
+
+
+def oracle_column(spec, g, basis, state):
+    """Sector column at ``state`` through the hidden-label bijection: the
+    ordinary entry, det g[m|n] for fermions or per(g[m|n]) / sqrt(m! n!) by
+    Ryser for bosons, where the output carries the input's auxiliary digits,
+    else 0."""
+    flat = lambda aux: tuple(chain.from_iterable((a,) if isinstance(a, int) else a for a in aux))
+    rows = lambda occ: [i for i, k in enumerate(occ) for _ in range(k)]
+    fact = lambda occ: math.prod(map(math.factorial, occ))
+    n = to_labeled(spec, state)
+    out = np.zeros(len(basis), dtype=complex)
+    for row, s in enumerate(basis):
+        m = to_labeled(spec, s)
+        if flat(m.aux) == flat(n.aux):
+            minor = g[np.ix_(rows(m.ordinary), rows(n.ordinary))]
+            out[row] = (
+                np.linalg.det(minor)
+                if spec.is_fermionic_like
+                else permanent(minor) / np.sqrt(fact(m.ordinary) * fact(n.ordinary))
+            )
+    return out
 
 
 class TestPermanent:
@@ -88,6 +115,16 @@ class TestFermionicRep:
         cycle = np.eye(3, dtype=complex)[[1, 2, 0]]
         assert fermionic_rep(cycle, 3).matrix[0, 0] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("spec", [F11, F12], ids=lambda s: s.label())
+    def test_columns_are_the_determinant_minors_bit_for_bit(self, spec):
+        for d in range(1, 6):
+            g = haar_unitary(d, 40 + d)
+            for N in range(d + 1):
+                rep = sector_rep(spec, g, N)
+                for col, state in enumerate(rep.basis):
+                    want = oracle_column(spec, g, rep.basis, state)
+                    assert rep.matrix[:, col].tobytes() == want.tobytes()
+
 
 class TestBosonicRep:
     def test_defining_sector(self):
@@ -108,6 +145,24 @@ class TestBosonicRep:
         }
         for state, want in expected.items():
             assert col[rep.basis.index(state)] == pytest.approx(want, abs=1e-12)
+
+    @given(
+        st.sampled_from([B11, B12]),
+        st.integers(1, 5),
+        st.integers(0, 5),
+        st.integers(0, 2**32 - 1),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_columns_match_ryser(self, spec, d, N, seed, data):
+        g = haar_unitary(d, seed)
+        basis, column = dynamics._sector(spec, g, N)
+        state = data.draw(st.sampled_from(basis))
+        got = column(state)
+        want = oracle_column(spec, g, basis, state)
+        assert np.max(np.abs(got - want)) <= RYSER_TOL
+        if len(basis) <= 126:  # every 1,1:+ sector drawn here, and the small 1,2:+ ones
+            assert np.array_equal(sector_rep(spec, g, N).matrix[:, basis.index(state)], got)
 
     def test_resource_guard(self, monkeypatch):
         # every path meets the guard, before the sector basis is enumerated
@@ -278,11 +333,14 @@ class TestEvolve:
 
     def test_computes_only_the_input_column(self, monkeypatch):
         calls = []
-        ryser = dynamics.permanent
-        monkeypatch.setattr(dynamics, "permanent", lambda a: calls.append(1) or ryser(a))
+        column = dynamics._ordinary_column
+        monkeypatch.setattr(
+            dynamics, "_ordinary_column", lambda *a: calls.append(a[3]) or column(*a)
+        )
+        monkeypatch.setattr(dynamics, "permanent", lambda a: pytest.fail("Ryser on a hot path"))
         out = evolve(haar_unitary(4, 0), AmplitudeVector.basis_state(B11, (2, 1, 1, 1)))
         assert len(out.basis) == 56  # the whole N=5 sector on 4 modes
-        assert 0 < len(calls) <= 56  # one column: the dense matrix takes 3,136
+        assert calls == [(2, 1, 1, 1)]  # one column: the dense matrix takes 56
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.label())
     def test_matches_sector_matrix_on_superpositions(self, spec):

@@ -1,4 +1,5 @@
 import math
+import time
 from itertools import product
 
 import pytest
@@ -6,8 +7,10 @@ from hypothesis import given, strategies as st
 
 from fockstat import classify
 from fockstat.classify import Kind, StatisticsSpec
-from fockstat.errors import InvalidStatisticsError, UnsupportedStatisticsError
+from fockstat.dynamics import PERMANENT_GUARD
+from fockstat.errors import InvalidStatisticsError, ResourceGuardError, UnsupportedStatisticsError
 from fockstat.fock import (
+    STARTS_HORIZON_BOUND,
     LabeledState,
     decompose,
     enumerate_basis,
@@ -84,6 +87,27 @@ class TestExcitation:
     def test_occupation_beyond_bound_rejected(self):
         with pytest.raises(ValueError):
             excitation_of(fspec(1, 2), 3)
+
+    def test_start_table_growth_is_guarded(self):
+        t0 = time.perf_counter()
+        with pytest.raises(
+            ResourceGuardError, match=r"occupation 1000000, .* STARTS_HORIZON_BOUND=4096 covers"
+        ):
+            excitation_of(bspec(1, 1), 10**6)  # a table of a million starts unguarded
+        assert time.perf_counter() - t0 < 0.5
+        with pytest.raises(ResourceGuardError, match="excitation 5001"):
+            enumerate_basis(bspec(1, 1), 1, excitation_cutoff=5000)
+        assert excitation_of(bspec(1, 1), 4096) == 4096  # the last one the bound covers
+
+    def test_start_table_guard_leaves_room_for_every_sector(self):
+        # the largest occupation of a sector within PERMANENT_GUARD, under the
+        # order-one labels that dynamics, the CLI and the tests use, needs a
+        # horizon 512 times below the bound
+        for q in (1, 2, 3):
+            spec = bspec(1, q)
+            top = _starts(spec, excitation=PERMANENT_GUARD + 1)[PERMANENT_GUARD + 1] - 1
+            assert excitation_of(spec, top) == PERMANENT_GUARD
+            assert len(_starts(spec, top)) - 2 <= STARTS_HORIZON_BOUND // 512
 
     def test_energy(self):
         assert state_energy(fspec(1, 1), (1, 1), (1.0, 0.5)) == pytest.approx(1.5)
