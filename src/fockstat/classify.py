@@ -560,35 +560,28 @@ class TotalPositivityResult:
 
 
 def _neville_pass(m: list[list[int]]) -> bool:
-    """One-sided Neville elimination; True iff it completes with nonnegative
-    multipliers and pivots, exchanging only rows that are zero from the
-    pivot column on (pushed to the bottom).  Fraction-free: with b, p > 0,
-    row i becomes p row_i - b row_(i-1) over its gcd, a positive multiple of
-    the rational step row_i - (b/p) row_(i-1), so no zero or sign test
-    changes.  A negative b rejects at once, as the rational pass does later
-    in the same column: the entries above it must share its sign up to the
-    pivot.  Rows are rebound, never edited in place."""
+    """Neville elimination of the lower-triangular window m with diagonal
+    a_0 >= 1 (Gasca & Pena); True iff every multiplier is nonnegative, so m
+    is totally nonnegative.  Fraction-free: with b, p > 0, row i becomes
+    p row_i - b row_(i-1) over its gcd, a positive multiple of the rational
+    step, so no zero or sign test changes; a negative b rejects at once, as
+    the rational pass does later in the column.  Row i - 1 is zero at
+    column i, so each step keeps m lower triangular with a positive
+    diagonal: no row is zero from the pivot column on, none is exchanged,
+    no pivot goes negative, and the transposed pass (an upper-triangular
+    matrix) would eliminate nothing.  Rows are rebound, never edited."""
     n = len(m)
     for k in range(n):
-        live = [row for row in m[k:] if any(row[k:])]
-        dead = [row for row in m[k:] if not any(row[k:])]
-        m[k:] = live + dead
-        for i in range(k + len(live) - 1, k, -1):
+        for i in range(n - 1, k, -1):
             b, p = m[i][k], m[i - 1][k]
             if b == 0:
                 continue
             if b < 0 or p <= 0:
                 return False
             row = [p * x - b * y for x, y in zip(m[i], m[i - 1])]
-            g = math.gcd(*row) or 1
+            g = math.gcd(*row)
             m[i] = [x // g for x in row]
-        if m[k][k] < 0:
-            return False
     return True
-
-
-def _neville_tnn(window: list[list[int]]) -> bool:
-    return _neville_pass(list(window)) and _neville_pass([list(col) for col in zip(*window)])
 
 
 def _minor_classes(K: int, order: int, smax: int, lo: int, hi: int, rows: tuple[int, ...],
@@ -692,29 +685,29 @@ def totally_positive_upto(a: IntegerSeries, order: int) -> TotalPositivityResult
     """Check every k x k minor, k <= order, of the Toeplitz matrix (a_{i-j})
     restricted to the index window [0, horizon].
 
-    The window is built once from slices of the zero-padded series (row i
-    is a_i, a_{i-1}, ..., a_{i-K}).  A Neville-elimination certificate
-    (Gasca & Pena) settles the (common) fully totally nonnegative case in
-    O(horizon^3) integer operations, run fraction-free with each new row
-    divided by its gcd.  Otherwise one minor per translation class is
-    scanned.  Shifting the row set R and the column set C together leaves
-    the matrix unchanged; if both contain 0 the minor is a_0 times a smaller
-    one, and row 0 alone is zero off column 0.  So the scan takes the 1 x 1
-    minor a_0 and the pairs with 0 in C but not in R, which a depth-first
-    walk over the indices generates with zero-line and weight pruning.
-    Writing R and C as partitions lam and mu (index r as entry i of R, from
-    0, is a part r - i), the classes are evaluated in weight bands
-    (-1, 2], (2, 4], (4, 8], ..., each sorted by (|lam| + |mu|, k, -lam,
-    -mu), until a negative witness appears: the same first witness as a
-    scan of every minor in that order.  A band's class list depends only on
-    (horizon, order, smax, lo, hi), smax being the last nonzero index of the
-    series, so ``_band`` builds each once and keeps the 64 most recently
-    used.  Building a band also compiles it to one class per distinct
-    minor polynomial that can go negative (41 of 1,576 classes at horizon
-    8, order 4, smax 2), which keeps the first witness.  The compile adds
-    about half to a band's build, paid once per band; a scan then reads
-    each kept class's value from its polynomial at the series'
-    coefficients.
+    A negative contiguous 2 x 2 minor a_i^2 - a_(i-1) a_(i+1) (the series is
+    not log-concave) rules out total nonnegativity in O(horizon).  Otherwise
+    one Neville pass on the lower-triangular window (row i is a_i, a_{i-1},
+    ..., a_{i-K}) settles the (common) totally nonnegative case in
+    O(horizon^3) integer operations.  Both only decide whether that shortcut
+    is tried, so verdict and witness are the scan's, which takes one minor
+    per translation class.  Shifting the row set R and the column set C
+    together leaves the matrix unchanged; if both contain 0 the minor is a_0
+    times a smaller one, and row 0 alone is zero off column 0.  So the scan
+    takes the 1 x 1 minor a_0 and the pairs with 0 in C but not in R, which
+    a depth-first walk over the indices generates with zero-line and weight
+    pruning.  Writing R and C as partitions lam and mu (index r as entry i
+    of R, from 0, is a part r - i), the classes are evaluated in weight
+    bands (-1, 2], (2, 4], (4, 8], ..., each sorted by (|lam| + |mu|, k,
+    -lam, -mu), until a negative witness appears: the same first witness as
+    a scan of every minor in that order.  A band's class list depends only
+    on (horizon, order, smax, lo, hi), smax being the last nonzero index of
+    the series, so ``_band`` builds each once and keeps the 64 most recently
+    used.  Building a band also compiles it to one class per distinct minor
+    polynomial that can go negative (41 of 1,576 classes at horizon 8, order
+    4, smax 2), which keeps the first witness.  The compile adds about half
+    to a band's build, paid once per band; a scan then reads each kept
+    class's value from its polynomial at the series' coefficients.
     """
     if order > TOTAL_POSITIVITY_ORDER_BOUND:
         raise ResourceGuardError(
@@ -726,11 +719,12 @@ def totally_positive_upto(a: IntegerSeries, order: int) -> TotalPositivityResult
     K = a.horizon
     if K + 1 < order:
         raise InsufficientHorizonError(required=order - 1, horizon=K)
-    padded = (0,) * K + a.coeffs  # a_n at index K + n, for -K <= n <= K
-    window = [padded[i : i + K + 1][::-1] for i in range(K + 1)]
-    if _neville_tnn(window):
-        return TotalPositivityResult(True)
-    smax = max(s for s, c in enumerate(a.coeffs) if c != 0)
+    c = a.coeffs
+    if all(c[i] * c[i] >= c[i - 1] * c[i + 1] for i in range(1, K)):
+        padded = (0,) * K + c  # a_n at index K + n, for -K <= n <= K
+        if _neville_pass([padded[i : i + K + 1][::-1] for i in range(K + 1)]):
+            return TotalPositivityResult(True)
+    smax = max(s for s, x in enumerate(c) if x != 0)
     lo, hi = -1, 2
     while lo < 2 * order * K:
         for rows, cols, poly in _band(K, order, smax, lo, hi):
@@ -739,7 +733,7 @@ def totally_positive_upto(a: IntegerSeries, order: int) -> TotalPositivityResult
             val = 0
             for mono, v in poly:
                 for i in mono:
-                    v *= a.coeffs[i]
+                    v *= c[i]
                 val += v
             if val < 0:
                 return TotalPositivityResult(False, rows, cols, val)

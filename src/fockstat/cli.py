@@ -3,8 +3,9 @@
 Subcommands: classify, decompose, simulate, thermo.  All results go to
 stdout (JSON by default, CSV where tabular), diagnostics to stderr.
 
-Exit codes: 0 ok, 2 argument/parse error, 3 invalid statistics label,
-4 bad unitary, 5 bad occupation or auxiliary label, 6 divergence.
+Exit codes: 0 ok, 1 oracle disagreement (decompose --check-oracle),
+2 argument/parse error, 3 invalid statistics label, 4 bad unitary, 5 bad
+occupation or auxiliary label, 6 divergence.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .errors import (
 SCHEMA_VERSION = "1"
 
 EXIT_OK = 0
+EXIT_ORACLE_DISAGREEMENT = 1
 EXIT_PARSE = 2
 EXIT_INVALID_STATISTICS = 3
 EXIT_BAD_UNITARY = 4
@@ -104,33 +106,35 @@ def _cmd_decompose(args) -> int:
         dec = fock.decompose(spec, args.modes, args.max_weight)
     except ValueError as exc:
         raise LabelError(str(exc)) from exc
+    agrees = None
+    if args.check_oracle:
+        series = single_mode_character(spec, dec.max_weight + args.modes - 1)
+        agrees = symfunc.schur_expand_oracle(series, args.modes, dec.max_weight) == dec.entries
     rows = [(lam, c) for lam, c in dec.sorted_entries()]
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["partition", "multiplicity"])
         for lam, c in rows:
             writer.writerow([" ".join(str(p) for p in lam.parts), c])
-        return EXIT_OK
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "label": spec.label(),
-        "modes": args.modes,
-        "max_weight": dec.max_weight,
-        "entries": [
-            {"partition": list(lam.parts), "multiplicity": c} for lam, c in rows
-        ],
-    }
-    if dec.dimension_check is not None:
-        total, expected = dec.dimension_check
-        payload["dimension_check"] = {"sum": total, "expected": expected}
-    if args.check_oracle:
-        series = single_mode_character(spec, dec.max_weight + args.modes - 1)
-        oracle = symfunc.schur_expand_oracle(series, args.modes, dec.max_weight)
-        payload["oracle_agrees"] = oracle == dec.entries
-    _emit(payload)
-    if args.check_oracle and not payload["oracle_agrees"]:
+    else:
+        payload = {
+            "schema_version": SCHEMA_VERSION,
+            "label": spec.label(),
+            "modes": args.modes,
+            "max_weight": dec.max_weight,
+            "entries": [
+                {"partition": list(lam.parts), "multiplicity": c} for lam, c in rows
+            ],
+        }
+        if dec.dimension_check is not None:
+            total, expected = dec.dimension_check
+            payload["dimension_check"] = {"sum": total, "expected": expected}
+        if agrees is not None:
+            payload["oracle_agrees"] = agrees
+        _emit(payload)
+    if agrees is False:
         print("oracle disagreement: minor and brute-force expansions differ", file=sys.stderr)
-        return 1
+        return EXIT_ORACLE_DISAGREEMENT
     return EXIT_OK
 
 

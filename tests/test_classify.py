@@ -29,7 +29,7 @@ from fockstat.classify import (
     single_mode_character,
     totally_positive_upto,
 )
-from fockstat.classify import _band, _layer_roots, _minor_classes, _neville_tnn
+from fockstat.classify import _band, _layer_roots, _minor_classes, _neville_pass
 from fockstat.errors import (
     InsufficientHorizonError,
     InvalidStatisticsError,
@@ -460,44 +460,42 @@ def _every_minor_nonnegative(w):
     return True
 
 
-def _random_window(rng, n):
-    """An n x n integer matrix: either a product of nonnegative bidiagonal
-    factors (totally nonnegative), perhaps with one entry lowered, or
-    entries of both signs; some get a zero row or column."""
+def _random_lower_window(rng, n):
+    """An n x n lower-triangular integer matrix with a positive diagonal,
+    the only shape the certificate sees: either a product of nonnegative
+    lower bidiagonal factors (totally nonnegative), perhaps with one entry
+    below the diagonal moved by one, or zeros and entries of both signs up
+    to 10**9 below the diagonal."""
+    size = rng.choice((3, 10**9))
+    w = [[rng.randint(1, size) if i == j else 0 for j in range(n)] for i in range(n)]
     if rng.random() < 0.6:
-        w = [[int(i == j) * rng.randint(1, 3) for j in range(n)] for i in range(n)]
         for _ in range(rng.randint(0, 2 * n) if n > 1 else 0):
-            i, c = rng.randrange(n - 1), rng.randint(1, 2)
-            if rng.random() < 0.5:  # row i+1 += c row i, or row i += c row i+1
+            i, c = rng.randrange(n - 1), rng.randint(1, 3)
+            if rng.random() < 0.5:  # row i+1 += c row i
                 w[i + 1] = [x + c * y for x, y in zip(w[i + 1], w[i])]
-            else:
-                w[i] = [x + c * y for x, y in zip(w[i], w[i + 1])]
-        if rng.random() < 0.3:
-            w = [list(col) for col in zip(*w)]
-        if rng.random() < 0.3:
-            w[rng.randrange(n)][rng.randrange(n)] -= 1
+            else:  # column i += c column i+1
+                for row in w:
+                    row[i] += c * row[i + 1]
+        if n > 1 and rng.random() < 0.3:
+            i = rng.randrange(1, n)
+            w[i][rng.randrange(i)] += rng.choice((-1, 1))
     else:
-        w = [[rng.choice((0, 0, 1, 2, 3, -1, -2, rng.randint(-10**6, 10**6))) for _ in range(n)]
-             for _ in range(n)]
-    if rng.random() < 0.2:
-        w[rng.randrange(n)] = [0] * n
-    if rng.random() < 0.2:
-        j = rng.randrange(n)
-        for row in w:
-            row[j] = 0
+        for i in range(n):
+            for j in range(i):
+                w[i][j] = rng.choice((0, 0, 0, 1, 2, 3, -1, -2, rng.randint(-10**9, 10**9)))
     return w
 
 
 class TestNevilleCertificate:
-    """The fraction-free certificate against the Fraction elimination, and
-    its True verdicts against every minor."""
+    """The one-pass fraction-free certificate against the two-sided
+    Fraction elimination, and its True verdicts against every minor."""
 
     def test_matches_fraction_reference_on_random_windows(self):
         rng = random.Random(17)
         verdicts = {True: 0, False: 0}
         for _ in range(1500):
-            w = _random_window(rng, rng.randint(1, 9))
-            got = _neville_tnn(w)
+            w = _random_lower_window(rng, rng.randint(1, 9))
+            got = _neville_pass(list(w))
             assert got == _neville_tnn_fraction(w), w
             if got and len(w) <= 6:
                 assert _every_minor_nonnegative(w), w
@@ -512,7 +510,7 @@ class TestNevilleCertificate:
             a = character_coefficients(spec, horizon)  # negative for invalid bosonic-like
             a = a + [0] * (horizon + 1 - len(a))
             w = [[a[i - j] if i >= j else 0 for j in range(horizon + 1)] for i in range(horizon + 1)]
-            got = _neville_tnn(w)
+            got = _neville_pass(list(w))
             assert got == _neville_tnn_fraction(w), spec.label()
             verdicts.add(got)
         assert max(character_coefficients(bspec(1, 10, 10), horizon)) > 10**11
@@ -529,6 +527,31 @@ class TestTotalPositivity:
         assert res.witness_value == -1
         assert res.witness_rows == (1, 2)
         assert res.witness_cols == (0, 1)
+
+    @pytest.mark.parametrize("coeffs, order", [
+        ((1, 0, 1), 2),
+        (tuple(character_coefficients(bspec(1, 2, 2, 2), 8)), 4),  # 1, 2, 2, 2, 4, ...
+    ])
+    def test_non_log_concave_series_skip_the_certificate(self, monkeypatch, coeffs, order):
+        def refuse(m):
+            raise AssertionError("certificate run on a series that is not log-concave")
+
+        monkeypatch.setattr(classify, "_neville_pass", refuse)
+        assert any(coeffs[i] ** 2 < coeffs[i - 1] * coeffs[i + 1] for i in range(1, len(coeffs) - 1))
+        got = _as_brute_force(totally_positive_upto(IntegerSeries(coeffs), order))
+        assert got == brute_force_tp(coeffs, order)
+        assert not got[0]
+
+    def test_totally_positive_series_runs_the_certificate_once(self, monkeypatch):
+        calls = []
+
+        def counted(m):
+            calls.append(len(m))
+            return _neville_pass(m)
+
+        monkeypatch.setattr(classify, "_neville_pass", counted)
+        assert totally_positive_upto(IntegerSeries((1, 4, 6, 4, 1, 0, 0)), 4)
+        assert calls == [7]
 
     def test_witness_indices_reproduce_value(self):
         res = totally_positive_upto(IntegerSeries((1, 0, 1, 0, 0)), 3)

@@ -5,8 +5,10 @@ import time
 import numpy as np
 import pytest
 
+from fockstat import symfunc
 from fockstat.cli import build_parser, main
 
+EXPECT_ORACLE_DISAGREEMENT = 1
 EXPECT_PARSE = 2
 EXPECT_INVALID = 3
 EXPECT_BAD_UNITARY = 4
@@ -127,6 +129,17 @@ class TestDecomposeCommand:
         )
         assert code == 0
         assert doc["oracle_agrees"] is True
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_oracle_disagreement_exits_1(self, capsys, monkeypatch, fmt):
+        monkeypatch.setattr(symfunc, "schur_expand_oracle", lambda *args: {(): 2})
+        code, out, err = run(
+            capsys, "decompose", "1,1:+", "--modes", "2", "--max-weight", "3",
+            "--check-oracle", "--format", fmt,
+        )
+        assert code == EXPECT_ORACLE_DISAGREEMENT
+        assert "oracle disagreement" in err
+        assert "partition" in out
 
     @pytest.mark.parametrize("modes, max_weight", [("4", "2"), ("2", "7")])
     def test_oracle_check_past_its_guard_exits_2(self, capsys, modes, max_weight):
