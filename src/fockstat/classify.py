@@ -123,7 +123,7 @@ def build_polynomial(spec: StatisticsSpec) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # exact polynomial arithmetic over the rationals (ascending coefficient
-# lists): the divergence test and the Kronecker factorization
+# lists): the divergence test
 
 
 def _trim(p: list[Fraction]) -> list[Fraction]:
@@ -233,16 +233,18 @@ def _int_gcd(a: list[int], b: list[int]) -> list[int]:
     return a
 
 
-def _exact_div(a: list[int], b: list[int]) -> list[int]:
-    """a / b for a primitive b dividing a over the rationals; by Gauss's
-    lemma the quotient is integral, so every leading division is exact."""
+def _exact_div(a: list[int], b: list[int]) -> list[int] | None:
+    """a / b if it is an integer polynomial, else None; never None for a
+    primitive b dividing a over the rationals, by Gauss's lemma."""
     a = a[:]
     q = [0] * (len(a) - len(b) + 1)
     for shift in reversed(range(len(q))):
-        q[shift] = factor = a.pop() // b[-1]
+        q[shift], rem = divmod(a.pop(), b[-1])
+        if rem:
+            return None
         for i, c in enumerate(b[:-1]):
-            a[shift + i] -= factor * c
-    return q
+            a[shift + i] -= q[shift] * c
+    return None if any(a) else q
 
 
 def _int_sturm_chain(p: list[int]) -> list[list[int]]:
@@ -450,7 +452,6 @@ def _is_irreducible(coeffs: list[int]) -> bool:
         return True
     if _has_rational_root(coeffs):
         return False
-    frac = [Fraction(c) for c in coeffs]
     sample_xs = [0] + [v for k in range(1, deg + 1) for v in (k, -k)]
     trials = 0
     for m in range(2, deg // 2 + 1):
@@ -464,8 +465,7 @@ def _is_irreducible(coeffs: list[int]) -> bool:
             cand = _lagrange_interpolate(list(zip(xs, combo)))
             if len(cand) - 1 != m or any(c.denominator != 1 for c in cand):
                 continue
-            quot, rem = _divmod_poly(frac, cand)
-            if not rem and all(c.denominator == 1 for c in quot):
+            if _exact_div(coeffs, [c.numerator for c in cand]) is not None:
                 return False
         # the slice stops the search, so a label within the bound counts
         # only once per factor degree

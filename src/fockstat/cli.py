@@ -214,7 +214,7 @@ def _cmd_simulate(args) -> int:
     ordinary, values = _parse_input_state(args.input)
     if len(ordinary) != args.modes:
         raise LabelError(f"input lists {len(ordinary)} modes but --modes is {args.modes}")
-    dynamics._require_sector(spec, sum(ordinary))  # before any per-particle work
+    dynamics._require_sector(spec, args.modes, sum(ordinary))  # before any per-particle work
     state = fock.from_aux_integers(spec, ordinary, values)
     vec = dynamics.AmplitudeVector(spec, (state,), [1.0])
     out = dynamics.evolve(g, vec)

@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 UNITARITY_TOL = 1e-12
-PERMANENT_GUARD = 8
+SECTOR_BASIS_BOUND = 1 << 16
 NORMALIZATION_TOL = 1e-10
 
 
@@ -139,13 +139,26 @@ def bosonic_rep(g: np.ndarray, N: int) -> SectorRep:
     return sector_rep(StatisticsSpec(Kind.BOSONIC_LIKE, (1, 1)), g, N)
 
 
-def _require_sector(spec: StatisticsSpec, N: int) -> None:
-    """Checks on a sector before any state is built: an order-one label with
-    unique vacuum (so N counts particles), and a bosonic N within the guard."""
+def _require_sector(spec: StatisticsSpec, d: int, N: int) -> None:
+    """Checks on a sector before any state is built: an order-one label [1,q]
+    with unique vacuum (so N counts particles), and at most SECTOR_BASIS_BOUND
+    states for sector_states to enumerate on d modes: the (q+1)^d hypercube,
+    or q^E C(E+d-1, E) of each excitation E <= N, summed until past the bound."""
     _require_order_one(spec)
-    if not spec.is_fermionic_like and N > PERMANENT_GUARD:
+    q = spec.q[1]
+    if spec.is_fermionic_like:
+        count = (q + 1) ** d
+    else:
+        count = 0
+        for E in range(N + 1):
+            count += q**E * math.comb(E + d - 1, E)
+            if count > SECTOR_BASIS_BOUND:
+                break
+    if count > SECTOR_BASIS_BOUND:
         raise ResourceGuardError(
-            f"permanent guard exceeded: N={N} > PERMANENT_GUARD={PERMANENT_GUARD}"
+            f"sector guard exceeded: {spec.label()} with N={N} on {d} modes enumerates "
+            f"at least {count} states > SECTOR_BASIS_BOUND={SECTOR_BASIS_BOUND}, "
+            f"over by at least {count - SECTOR_BASIS_BOUND}"
         )
 
 
@@ -154,8 +167,8 @@ def _sector(spec: StatisticsSpec, g: np.ndarray, N: int):
     column of the sector matrix at a basis state: the ordinary column of its
     particle content, each output carrying the input's auxiliary digits
     (flattened in mode order), as the identity on hidden labels."""
-    _require_sector(spec, N)  # before enumerating either basis
     d, fermionic = g.shape[0], spec.is_fermionic_like
+    _require_sector(spec, d, N)  # before enumerating either basis
     basis = tuple(sector_states(spec, d, N))
     if not basis:
         raise ValueError(f"sector N={N} is empty on {d} modes")

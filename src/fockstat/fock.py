@@ -47,8 +47,8 @@ __all__ = [
 OccupationState = tuple[int, ...]
 
 # Largest horizon a bosonic-like block-start table doubles to: 1,1:+ then
-# covers occupations below 4,097, while a sector of PERMANENT_GUARD = 8
-# particles needs a horizon of 8 under any order-one label.
+# covers occupations below 4,097.  A sector within SECTOR_BASIS_BOUND needs at
+# most 512 under 1,q:+ (q <= 3) on two or more modes; 1,1:+ on one can outgrow it.
 STARTS_HORIZON_BOUND = 1 << 12
 
 

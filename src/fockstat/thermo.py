@@ -100,43 +100,34 @@ def _exponents(
         yield t
 
 
-def _bosonic_terms(spec: StatisticsSpec, y: float) -> tuple[float | Fraction, float | Fraction]:
-    """Q+(y) and y Q+'(y).
-
-    Near a repeated root float Q+(y) cancels to (or past) 0 although the
-    exact gate has put y below the wall; there both are taken in Fractions.
-    """
-    coeffs = build_polynomial(spec)
-    if abs(_poly_eval(coeffs, y)) <= 1e-12 * _poly_eval([abs(c) for c in coeffs], y):
-        y = Fraction(y)
-    return _poly_eval(coeffs, y), y * _poly_eval([s * c for s, c in enumerate(coeffs)][1:], y)
-
-
-def _log_char(spec: StatisticsSpec, t: float) -> float:
-    """log chi_1(e^t), numerically stable for any t in the convergent region."""
-    if spec.is_fermionic_like:
-        # log-sum-exp over the polynomial terms
-        terms = [s * t + math.log(q) for s, q in enumerate(spec.q)]
-        m = max(terms)
-        return m + math.log(sum(math.exp(v - m) for v in terms))
-    return -math.log(_bosonic_terms(spec, math.exp(t))[0])
-
-
-def _occupation_from_t(spec: StatisticsSpec, t: float) -> float:
-    """Mean excitation y chi'(y)/chi(y) at y = e^t."""
-    if spec.order == 1 and spec.unique_vacuum:  # 1/((1/q) e^{beta(eps-mu)} +- 1)
-        q = spec.q[1]
-        x = -t  # beta (eps - mu)
-        if x > 700.0:
-            return q * math.exp(-x)
-        return 1.0 / (math.exp(x) / q + (1.0 if spec.is_fermionic_like else -1.0))
+def _mode(spec: StatisticsSpec, t: float) -> tuple[float, float]:
+    """log chi_1(y) and the mean excitation y chi_1'(y)/chi_1(y) at y = e^t in
+    the convergent region: one log-sum-exp over the polynomial terms if
+    fermionic-like; if bosonic-like, chi_1 = 1/Q+ with Q+(y) taken in Fractions
+    where float Q+(y) cancels to (or past) 0 next to a repeated root below the
+    wall.  Order one with a unique vacuum keeps the closed-form occupation."""
+    closed = spec.order == 1 and spec.unique_vacuum
     if spec.is_fermionic_like:
         terms = [s * t + math.log(c) for s, c in enumerate(spec.q)]
         m = max(terms)
         weights = [math.exp(v - m) for v in terms]
-        return sum(s * w for s, w in zip(range(len(weights)), weights)) / sum(weights)
-    value, slope = _bosonic_terms(spec, math.exp(t))
-    return float(-slope / value)
+        log_chi = m + math.log(sum(weights))
+        if not closed:
+            return log_chi, sum(s * w for s, w in enumerate(weights)) / sum(weights)
+    else:
+        coeffs = build_polynomial(spec)
+        y = math.exp(t)
+        if abs(_poly_eval(coeffs, y)) <= 1e-12 * _poly_eval([abs(c) for c in coeffs], y):
+            y = Fraction(y)
+        value = _poly_eval(coeffs, y)
+        log_chi = -math.log(value)
+        if not closed:
+            slope = y * _poly_eval([s * c for s, c in enumerate(coeffs)][1:], y)
+            return log_chi, float(-slope / value)
+    q, x = spec.q[1], -t  # 1/((1/q) e^x +- 1), x = beta (eps - mu)
+    if x > 700.0:
+        return log_chi, q * math.exp(-x)
+    return log_chi, 1.0 / (math.exp(x) / q + (1.0 if spec.is_fermionic_like else -1.0))
 
 
 def canonical_logZ(spec: StatisticsSpec, energies: Sequence[float], beta: float) -> float:
@@ -150,7 +141,7 @@ def grand_logZ(
 ) -> float:
     """log of the grand-canonical partition function."""
     require_valid(spec)
-    return sum(_log_char(spec, t) for t in _exponents(spec, energies, params.beta, params.mu))
+    return sum(_mode(spec, t)[0] for t in _exponents(spec, energies, params.beta, params.mu))
 
 
 def mean_occupation(spec: StatisticsSpec, epsilon: float, params: EnsembleParams) -> float:
@@ -162,7 +153,7 @@ def mean_occupation(spec: StatisticsSpec, epsilon: float, params: EnsembleParams
 def _total_occupation(
     spec: StatisticsSpec, energies: Sequence[float], beta: float, mu: float
 ) -> float:
-    return sum(_occupation_from_t(spec, t) for t in _exponents(spec, energies, beta, mu))
+    return sum(_mode(spec, t)[1] for t in _exponents(spec, energies, beta, mu))
 
 
 def solve_mu(
@@ -196,17 +187,20 @@ def solve_mu(
     def total(mu: float) -> float:
         return _total_occupation(spec, energies, beta, mu)
 
+    def walk(mu: float, step: float, done, message: str) -> float:
+        """mu, mu + step, mu + 3 step, ... until done(total(mu))."""
+        for _ in range(300):
+            if done(total(mu)):
+                return mu
+            mu += step
+            step *= 2
+        raise ValueError(message)
+
     e_min, e_max = min(energies), max(energies)
     if spec.is_fermionic_like:
-        lo, hi = e_min - 1.0, e_max + 1.0
-        step = 1.0
-        for _ in range(300):
-            if total(hi) >= shifted:
-                break
-            hi += step
-            step *= 2
-        else:
-            raise ValueError(f"target_N={target_N} unreachable (out of range)")
+        lo = e_min - 1.0
+        hi = walk(e_max + 1.0, 1.0, lambda n: n >= shifted,
+                  f"target_N={target_N} unreachable (out of range)")
     else:
         wall = e_min + math.log(least_positive_root(build_polynomial(spec))) / beta
         hi = wall - max(1e-9, 1e-9 * abs(wall))
@@ -222,14 +216,8 @@ def solve_mu(
         if not reached:
             raise ValueError(f"target_N={target_N} unreachable below divergence")
         lo = hi - 1.0
-    step = 1.0
-    for _ in range(300):
-        if total(lo) <= shifted:
-            break
-        lo -= step
-        step *= 2
-    else:
-        raise ValueError("failed to bracket the chemical potential from below")
+    lo = walk(lo, -1.0, lambda n: n <= shifted,
+              "failed to bracket the chemical potential from below")
 
     value = math.nan
     for _ in range(SOLVE_MAX_ITER):
@@ -258,9 +246,9 @@ def thermo_report(
     for labels of every order.
     """
     require_valid(spec)
-    ts = list(_exponents(spec, energies, params.beta, params.mu))
-    logZ = sum(_log_char(spec, t) for t in ts)
-    occupations = tuple(_occupation_from_t(spec, t) for t in ts)
+    modes = [_mode(spec, t) for t in _exponents(spec, energies, params.beta, params.mu)]
+    logZ = sum(log_chi for log_chi, _ in modes)
+    occupations = tuple(n for _, n in modes)
     mean_N = sum(occupations)
     mean_E = sum(e * n for e, n in zip(energies, occupations))
     entropy = logZ + params.beta * mean_E - params.beta * params.mu * mean_N

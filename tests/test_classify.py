@@ -157,6 +157,15 @@ class TestIrreducibility:
         assert is_irreducible_statistics(fspec(1, 3, 5, 4, 2)) is False
         assert is_irreducible_statistics(fspec(1, 1, 1, 1, 5)) is True
 
+    def test_trial_division_on_integers(self, monkeypatch):
+        # (1+x+x^2)(1+x+2x^2) has no rational root: each interpolated
+        # candidate is divided on the integer kernel, never in Fractions
+        monkeypatch.setattr(classify, "_divmod_poly", lambda *a: pytest.fail("Fraction division"))
+        assert is_irreducible_statistics(fspec(1, 2, 4, 3, 2)) is False
+        assert classify._exact_div([1, 2, 4, 3, 2], [1, 1, 1]) == [1, 1, 2]
+        assert classify._exact_div([1, 2, 4, 3, 2], [1, 1, 3]) is None  # leading remainder
+        assert classify._exact_div([1, 2, 4, 3, 2], [2, 1, 1]) is None  # final remainder
+
     def test_degree_guard(self):
         with pytest.raises(ResourceGuardError, match=r"degree=9 > FACTORIZATION_DEGREE_BOUND=8$"):
             is_irreducible_statistics(fspec(*([1] * 10)))

@@ -267,17 +267,25 @@ class TestSimulateCommand:
         assert out == ""
         assert "usage: --unitary haar SEED" in err
 
-    def test_permanent_guard_before_the_input_is_built(self, capsys):
-        # ten million particles: the guard answers before any of them is built
-        start = time.perf_counter()
-        code, out, err = run(
-            capsys, "simulate", "1,1:+", "--modes", "2", "--input", "10000000,0",
-            "--unitary", "bs",
-        )
-        assert time.perf_counter() - start < 5
-        assert code == EXPECT_PARSE
-        assert out == ""
-        assert "permanent guard exceeded: N=10000000 > PERMANENT_GUARD=8" in err
+    def test_sector_guard_before_the_input_is_built(self, capsys):
+        for argv, count in [
+            # ten million particles: the count stops as soon as it passes the bound
+            (("1,1:+", "--modes", "2", "--input", "10000000,0", "--unitary", "bs"), 65703),
+            # the 4^14 hypercube that sector_states would filter
+            (("1,3:-", "--modes", "14", "--input", "1,1,1,1,1,1,1,0,0,0,0,0,0,0",
+              "--unitary", "haar", "1"), 4**14),
+            (("1,2:+", "--modes", "8", "--input", "1,1,1,1,1,1,1,1", "--unitary", "haar", "3"),
+             141569),
+        ]:
+            start = time.perf_counter()
+            code, out, err = run(capsys, "simulate", *argv)
+            assert time.perf_counter() - start < 1
+            assert code == EXPECT_PARSE
+            assert out == ""
+            assert (
+                f"enumerates at least {count} states > SECTOR_BASIS_BOUND=65536, "
+                f"over by at least {count - 65536}"
+            ) in err
 
     def test_beamsplitter_takes_no_argument(self, capsys):
         code, out, err = run(

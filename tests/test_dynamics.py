@@ -165,16 +165,28 @@ class TestBosonicRep:
             assert np.array_equal(sector_rep(spec, g, N).matrix[:, basis.index(state)], got)
 
     def test_resource_guard(self, monkeypatch):
-        # every path meets the guard, before the sector basis is enumerated
+        # every path meets the guard, before the sector basis is enumerated:
+        # 4^14 states of 1,3:- and 141,569 or more of 1,2:+ (N <= 8, d = 8)
         monkeypatch.setattr(dynamics, "sector_states", lambda *a: pytest.fail("enumerated"))
-        vec = AmplitudeVector.basis_state(B11, (9, 0))
+        F13 = StatisticsSpec(F, (1, 3))
+        fermions = AmplitudeVector.basis_state(F13, (1,) * 7 + (0,) * 7)
+        bosons = AmplitudeVector.basis_state(B12, (1,) * 8)
         for call in (
-            lambda: bosonic_rep(beamsplitter(), 9),
-            lambda: sector_rep(B11, beamsplitter(), 9),
-            lambda: evolve(beamsplitter(), vec),
+            lambda: evolve(haar_unitary(14, 1), fermions),
+            lambda: sector_rep(F13, haar_unitary(14, 1), 7),
+            lambda: evolve(haar_unitary(8, 3), bosons),
+            lambda: sector_rep(B12, haar_unitary(8, 3), 8),
+            lambda: fermionic_rep(haar_unitary(17, 1), 3),  # 2^17 states
+            lambda: bosonic_rep(haar_unitary(10, 1), 9),  # C(19, 9) = 92,378
         ):
-            with pytest.raises(ResourceGuardError, match="PERMANENT_GUARD=8"):
+            with pytest.raises(ResourceGuardError, match="SECTOR_BASIS_BOUND=65536"):
                 call()
+
+    def test_guard_counts_states_not_particles(self):
+        # 9 bosons on 2 modes: 55 states up to excitation 9, within the bound
+        out = evolve(beamsplitter(), AmplitudeVector.basis_state(B11, (9, 0)))
+        assert len(out.basis) == 10
+        assert sum(detection_probabilities(out).values()) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSectorRep:

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from fockstat import classify
 from fockstat.classify import Kind, StatisticsSpec
-from fockstat.dynamics import PERMANENT_GUARD
+from fockstat.dynamics import _require_sector
 from fockstat.errors import InvalidStatisticsError, ResourceGuardError, UnsupportedStatisticsError
 from fockstat.fock import (
     STARTS_HORIZON_BOUND,
@@ -100,14 +100,24 @@ class TestExcitation:
         assert excitation_of(bspec(1, 1), 4096) == 4096  # the last one the bound covers
 
     def test_start_table_guard_leaves_room_for_every_sector(self):
-        # the largest occupation of a sector within PERMANENT_GUARD, under the
-        # order-one labels that dynamics, the CLI and the tests use, needs a
-        # horizon 512 times below the bound
-        for q in (1, 2, 3):
+        # the largest sector within SECTOR_BASIS_BOUND on two or more modes,
+        # under the order-one labels that dynamics, the CLI and the tests
+        # use, needs a horizon 8 times below the bound
+        for q, d in product((1, 2, 3), (2, 3, 4, 8)):
             spec = bspec(1, q)
-            top = _starts(spec, excitation=PERMANENT_GUARD + 1)[PERMANENT_GUARD + 1] - 1
-            assert excitation_of(spec, top) == PERMANENT_GUARD
-            assert len(_starts(spec, top)) - 2 <= STARTS_HORIZON_BOUND // 512
+            N = 0
+            with pytest.raises(ResourceGuardError, match="SECTOR_BASIS_BOUND"):
+                while True:
+                    _require_sector(spec, d, N + 1)
+                    N += 1
+            top = _starts(spec, excitation=N + 1)[N + 1] - 1
+            assert excitation_of(spec, top) == N
+            assert len(_starts(spec, top)) - 2 <= STARTS_HORIZON_BOUND // 8
+        # one mode of 1,1:+ holds N + 1 states: past 4,096 particles the
+        # block-start guard refuses the sector the sector guard admits
+        _require_sector(bspec(1, 1), 1, 5000)
+        with pytest.raises(ResourceGuardError, match="STARTS_HORIZON_BOUND"):
+            excitation_of(bspec(1, 1), 5000)
 
     def test_energy(self):
         assert state_energy(fspec(1, 1), (1, 1), (1.0, 0.5)) == pytest.approx(1.5)

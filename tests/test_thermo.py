@@ -227,6 +227,38 @@ class TestSolveMu:
 
 
 class TestThermoReport:
+    def test_one_evaluation_per_mode(self, monkeypatch):
+        # Q+ at y, |Q+| at y for the cancellation test, Q+ again and Q+'
+        calls = []
+        poly_eval = thermo._poly_eval
+        monkeypatch.setattr(thermo, "_poly_eval", lambda *a: calls.append(a) or poly_eval(*a))
+        energies = [1.0, 1.5, 2.0, 3.0, 5.0]
+        thermo_report(StatisticsSpec(B, (1, 3, 2)), energies, EnsembleParams(1.0, 0.0))
+        assert len(calls) == 4 * len(energies)
+
+    @pytest.mark.parametrize(
+        "q, kind, energies, mu",
+        [
+            ((1, 1), F, [0.5, 1.0, 2.0, 800.0], 0.0),
+            ((1, 2), F, [0.5, 1.0, 2.0, 800.0], 0.3),
+            ((2, 3), F, [0.5, 1.0, 2.0, 800.0], 0.0),
+            ((1, 3, 2), F, [0.5, 1.0, 2.0, 800.0], -0.4),
+            ((1, 2, 1), F, [0.5, 1.0, 2.0, 800.0], 0.0),
+            ((1, 3, 3, 1), F, [0.5, 1.0, 2.0, 800.0], 0.0),
+            ((1, 1), B, [0.75, 1.0, 2.0, 800.0], 0.0),
+            ((1, 2), B, [0.75, 1.0, 2.0, 800.0], 0.0),
+            ((1, 3, 2), B, [0.75, 1.0, 2.0, 800.0], 0.0),
+            ((1, 4, 4), B, [0.75, 1.0, 2.0, 800.0], 0.0),
+            ((1, 3, 3, 1), B, [0.75, 1.0, 2.0, 800.0], 0.0),
+            ((1, 2, 1), B, [0.0, 1e-9, 800.0], -1e-9),  # Q+ in Fractions next to the wall
+        ],
+    )
+    def test_report_matches_its_parts_exactly(self, q, kind, energies, mu):
+        spec, params = StatisticsSpec(kind, q), EnsembleParams(1.0, mu)
+        rep = thermo_report(spec, energies, params)
+        assert rep.logZ == grand_logZ(spec, energies, params)
+        assert rep.occupations == tuple(mean_occupation(spec, e, params) for e in energies)
+
     def test_mean_N_is_sum_of_occupations(self):
         rep = thermo_report(F12, [0.0, 0.5, 1.0], EnsembleParams(1.2, 0.3))
         assert rep.mean_N == pytest.approx(sum(rep.occupations), abs=1e-12)
