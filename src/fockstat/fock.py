@@ -48,7 +48,8 @@ OccupationState = tuple[int, ...]
 
 # Largest horizon a bosonic-like block-start table doubles to: 1,1:+ then
 # covers occupations below 4,097.  A sector within SECTOR_BASIS_BOUND needs at
-# most 512 under 1,q:+ (q <= 3) on two or more modes; 1,1:+ on one can outgrow it.
+# most 512 under 1,q:+ (q <= 3) on two or more modes; 1,1:+ on one mode could
+# outgrow it, so the sector guard (dynamics._require_sector) refuses N past it.
 STARTS_HORIZON_BOUND = 1 << 12
 
 

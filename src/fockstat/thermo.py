@@ -12,9 +12,13 @@ raised as a typed error, never returned as a NaN.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from functools import partial
+from typing import Sequence
+
+import numpy as np
 
 from .classify import (
     StatisticsSpec,
@@ -40,6 +44,10 @@ __all__ = [
 
 SOLVE_TOL = 1e-10
 SOLVE_MAX_ITER = 200
+
+# NumPy arithmetic with Python float semantics: overflow to inf and nan from
+# inf pass without a warning (division by zero is checked where it can occur)
+_float_semantics = np.errstate(over="ignore", invalid="ignore")
 
 
 @dataclass(frozen=True)
@@ -88,46 +96,70 @@ def _diverges(spec: StatisticsSpec, t: float) -> bool:
     return count_real_roots_upto(build_polynomial(spec), Fraction(y)) >= 1
 
 
+@_float_semantics
 def _exponents(
     spec: StatisticsSpec, energies: Sequence[float], beta: float, mu: float
-) -> Iterator[float]:
-    """t = -beta (eps_k - mu) mode by mode; DivergenceError(mode=k) at the
+) -> np.ndarray:
+    """t = -beta (eps_k - mu) for every mode; DivergenceError(mode=k) at the
     first divergent mode."""
-    for k, eps in enumerate(energies):
-        t = -beta * (eps - mu)
-        if _diverges(spec, t):
-            raise DivergenceError(mode=k)
-        yield t
+    t = -beta * (np.asarray(energies, dtype=float) - mu)
+    if not spec.is_fermionic_like:
+        for k, t_k in enumerate(t.tolist()):
+            if _diverges(spec, t_k):
+                _modes(spec, t[:k])  # an error of an earlier mode comes first
+                raise DivergenceError(mode=k)
+    return t
 
 
-def _mode(spec: StatisticsSpec, t: float) -> tuple[float, float]:
-    """log chi_1(y) and the mean excitation y chi_1'(y)/chi_1(y) at y = e^t in
-    the convergent region: one log-sum-exp over the polynomial terms if
-    fermionic-like; if bosonic-like, chi_1 = 1/Q+ with Q+(y) taken in Fractions
-    where float Q+(y) cancels to (or past) 0 next to a repeated root below the
-    wall.  Order one with a unique vacuum keeps the closed-form occupation."""
+def _libm(f, a: np.ndarray) -> np.ndarray:
+    """math.exp or math.log elementwise: libm's rounding, which NumPy's
+    vectorised exp and log do not reproduce in the last bit."""
+    return np.fromiter(map(f, a.ravel().tolist()), float, a.size).reshape(a.shape)
+
+
+@_float_semantics
+def _modes(spec: StatisticsSpec, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log chi_1(y) and the mean excitation y chi_1'(y)/chi_1(y) at y = e^t,
+    one entry per mode, in the convergent region: one log-sum-exp over the
+    polynomial terms if fermionic-like; if bosonic-like, chi_1 = 1/Q+ with
+    Q+(y) taken in Fractions on the modes where float Q+(y) cancels to (or
+    past) 0 next to a repeated root below the wall.  Order one with a unique
+    vacuum keeps the closed-form occupation.  Each float operation is the
+    per-mode one in the same order, so every entry is bit-identical to a
+    scalar evaluation."""
     closed = spec.order == 1 and spec.unique_vacuum
     if spec.is_fermionic_like:
-        terms = [s * t + math.log(c) for s, c in enumerate(spec.q)]
-        m = max(terms)
-        weights = [math.exp(v - m) for v in terms]
-        log_chi = m + math.log(sum(weights))
+        terms = np.array([s * t + math.log(c) for s, c in enumerate(spec.q)])
+        m = terms.max(axis=0)
+        weights = _libm(math.exp, terms - m)  # rows summed in order by sum()
+        log_chi = m + _libm(math.log, sum(weights))
         if not closed:
             return log_chi, sum(s * w for s, w in enumerate(weights)) / sum(weights)
     else:
         coeffs = build_polynomial(spec)
-        y = math.exp(t)
-        if abs(_poly_eval(coeffs, y)) <= 1e-12 * _poly_eval([abs(c) for c in coeffs], y):
-            y = Fraction(y)
+        slope = [s * c for s, c in enumerate(coeffs)][1:]
+        y = _libm(math.exp, t)
         value = _poly_eval(coeffs, y)
-        log_chi = -math.log(value)
+        exact = np.abs(value) <= 1e-12 * _poly_eval([abs(c) for c in coeffs], y)
+        value[exact] = 1.0  # placeholder: those modes are redone in Fractions
+        log_chi = -_libm(math.log, value)
         if not closed:
-            slope = y * _poly_eval([s * c for s, c in enumerate(coeffs)][1:], y)
-            return log_chi, float(-slope / value)
+            n = -(y * _poly_eval(slope, y)) / value
+        for k in np.flatnonzero(exact).tolist():
+            y_k = Fraction(y[k].item())
+            value_k = _poly_eval(coeffs, y_k)
+            log_chi[k] = -math.log(value_k)
+            if not closed:
+                n[k] = float(-(y_k * _poly_eval(slope, y_k)) / value_k)
+        if not closed:
+            return log_chi, n
     q, x = spec.q[1], -t  # 1/((1/q) e^x +- 1), x = beta (eps - mu)
-    if x > 700.0:
-        return log_chi, q * math.exp(-x)
-    return log_chi, 1.0 / (math.exp(x) / q + (1.0 if spec.is_fermionic_like else -1.0))
+    far = x > 700.0
+    e = _libm(math.exp, np.where(far, -x, x))
+    denominator = e / q + (1.0 if spec.is_fermionic_like else -1.0)
+    if not denominator.all():  # e^x rounds to q right below the bosonic wall
+        raise ZeroDivisionError("float division by zero")
+    return log_chi, np.where(far, q * e, 1.0 / denominator)
 
 
 def canonical_logZ(spec: StatisticsSpec, energies: Sequence[float], beta: float) -> float:
@@ -141,7 +173,7 @@ def grand_logZ(
 ) -> float:
     """log of the grand-canonical partition function."""
     require_valid(spec)
-    return sum(_mode(spec, t)[0] for t in _exponents(spec, energies, params.beta, params.mu))
+    return sum(_modes(spec, _exponents(spec, energies, params.beta, params.mu))[0].tolist())
 
 
 def mean_occupation(spec: StatisticsSpec, epsilon: float, params: EnsembleParams) -> float:
@@ -153,7 +185,7 @@ def mean_occupation(spec: StatisticsSpec, epsilon: float, params: EnsembleParams
 def _total_occupation(
     spec: StatisticsSpec, energies: Sequence[float], beta: float, mu: float
 ) -> float:
-    return sum(_mode(spec, t)[1] for t in _exponents(spec, energies, beta, mu))
+    return sum(_modes(spec, _exponents(spec, energies, beta, mu))[1].tolist())
 
 
 def solve_mu(
@@ -246,9 +278,9 @@ def thermo_report(
     for labels of every order.
     """
     require_valid(spec)
-    modes = [_mode(spec, t) for t in _exponents(spec, energies, params.beta, params.mu)]
-    logZ = sum(log_chi for log_chi, _ in modes)
-    occupations = tuple(n for _, n in modes)
+    log_chi, n = _modes(spec, _exponents(spec, energies, params.beta, params.mu))
+    logZ = sum(log_chi.tolist())
+    occupations = tuple(n.tolist())
     mean_N = sum(occupations)
     mean_E = sum(e * n for e, n in zip(energies, occupations))
     entropy = logZ + params.beta * mean_E - params.beta * params.mu * mean_N
@@ -261,6 +293,7 @@ def thermo_report(
     )
 
 
+@_float_semantics
 def sweep(
     spec: StatisticsSpec,
     epsilon_range: tuple[float, float, int],
@@ -279,11 +312,12 @@ def sweep(
         grid = [float(lo)]
     else:
         grid = [lo + i * (hi - lo) / (steps - 1) for i in range(steps)]
-    rows = []
-    for eps in grid:
-        try:
-            n = _total_occupation(spec, [eps], params.beta, params.mu)
-            rows.append(SweepRow(epsilon=eps, n=n, flag="ok"))
-        except DivergenceError:
-            rows.append(SweepRow(epsilon=eps, n=float("nan"), flag="divergent"))
-    return rows
+    # _diverges is monotone in t and t is monotone along the grid, so the
+    # divergent rows are those past one cut in rising t: a prefix of the grid
+    # if lo <= hi, a suffix if lo > hi.  Bisection finds the cut.
+    rising = slice(None) if lo > hi else slice(None, None, -1)
+    t = (-params.beta * (np.asarray(grid) - params.mu))[rising]
+    cut = bisect_left(t.tolist(), True, key=partial(_diverges, spec))
+    n = _modes(spec, t[:cut])[1].tolist() + [math.nan] * (steps - cut)
+    flags = ["ok"] * cut + ["divergent"] * (steps - cut)
+    return [SweepRow(eps, n_k, flag) for eps, n_k, flag in zip(grid, n[rising], flags[rising])]

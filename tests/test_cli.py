@@ -287,6 +287,17 @@ class TestSimulateCommand:
                 f"over by at least {count - 65536}"
             ) in err
 
+    def test_sector_guard_covers_the_block_start_horizon(self, capsys):
+        argv = ("simulate", "1,1:+", "--modes", "1", "--unitary", "haar", "1", "--input")
+        assert run(capsys, *argv, "4096")[0] == 0
+        code, out, err = run(capsys, *argv, "4097")
+        assert code == EXPECT_PARSE
+        assert out == ""
+        assert (
+            "sector guard exceeded: 1,1:+ with N=4097 on 1 modes asks occupations past "
+            "STARTS_HORIZON_BOUND=4096, over by 1"
+        ) in err
+
     def test_beamsplitter_takes_no_argument(self, capsys):
         code, out, err = run(
             capsys, "simulate", "1,1:+", "--modes", "2", "--input", "1,1",

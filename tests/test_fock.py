@@ -113,11 +113,14 @@ class TestExcitation:
             top = _starts(spec, excitation=N + 1)[N + 1] - 1
             assert excitation_of(spec, top) == N
             assert len(_starts(spec, top)) - 2 <= STARTS_HORIZON_BOUND // 8
-        # one mode of 1,1:+ holds N + 1 states: past 4,096 particles the
-        # block-start guard refuses the sector the sector guard admits
-        _require_sector(bspec(1, 1), 1, 5000)
-        with pytest.raises(ResourceGuardError, match="STARTS_HORIZON_BOUND"):
-            excitation_of(bspec(1, 1), 5000)
+        # one mode of 1,1:+ holds N + 1 states: the sector guard itself
+        # refuses it past the 4,096 particles the block-start table covers
+        _require_sector(bspec(1, 1), 1, STARTS_HORIZON_BOUND)
+        assert excitation_of(bspec(1, 1), STARTS_HORIZON_BOUND) == STARTS_HORIZON_BOUND
+        with pytest.raises(ResourceGuardError, match=r"sector guard .* N=4097 .*STARTS_HORIZON_BOUND=4096, over by 1"):
+            _require_sector(bspec(1, 1), 1, STARTS_HORIZON_BOUND + 1)
+        # a fermionic-like sector that large is empty, and is reported so later
+        _require_sector(fspec(1, 1), 2, STARTS_HORIZON_BOUND + 1)
 
     def test_energy(self):
         assert state_energy(fspec(1, 1), (1, 1), (1.0, 0.5)) == pytest.approx(1.5)

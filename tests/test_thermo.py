@@ -1,9 +1,13 @@
 import math
+import random
+import warnings
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fockstat import thermo
-from fockstat.classify import Kind, StatisticsSpec
+from fockstat.classify import Kind, StatisticsSpec, _poly_eval, build_polynomial, least_positive_root
 from fockstat.errors import DivergenceError, InvalidStatisticsError, ResourceGuardError
 from fockstat.fock import enumerate_basis, excitation_number, state_energy
 from fockstat.thermo import (
@@ -55,6 +59,16 @@ class TestPartitionFunctions:
             grand_logZ(B12, [5.0, math.log(2)], EnsembleParams(1.0, 0.0))
         assert exc.value.mode == 1
         assert exc.value.code == "divergence"
+
+    def test_modes_fail_in_mode_order(self):
+        # at eps = 1e-16 the closed form's e^x/q - 1 rounds to 0 (a float
+        # division by zero); that failure of mode 0 comes before the
+        # divergence of mode 1, and after a divergence of mode 0
+        with pytest.raises(ZeroDivisionError):
+            grand_logZ(B11, [1e-16, -1.0], EnsembleParams(1.0, 0.0))
+        with pytest.raises(DivergenceError) as exc:
+            grand_logZ(B11, [-1.0, 1e-16], EnsembleParams(1.0, 0.0))
+        assert exc.value.mode == 0
 
     def test_canonical_divergence_at_zero_energy(self):
         with pytest.raises(DivergenceError):
@@ -228,13 +242,14 @@ class TestSolveMu:
 
 class TestThermoReport:
     def test_one_evaluation_per_mode(self, monkeypatch):
-        # Q+ at y, |Q+| at y for the cancellation test, Q+ again and Q+'
+        # Q+, |Q+| for the cancellation test and Q+', each once over all modes
         calls = []
         poly_eval = thermo._poly_eval
         monkeypatch.setattr(thermo, "_poly_eval", lambda *a: calls.append(a) or poly_eval(*a))
-        energies = [1.0, 1.5, 2.0, 3.0, 5.0]
-        thermo_report(StatisticsSpec(B, (1, 3, 2)), energies, EnsembleParams(1.0, 0.0))
-        assert len(calls) == 4 * len(energies)
+        for energies in ([1.0, 1.5, 2.0, 3.0, 5.0], [1.0 + 0.02 * i for i in range(200)]):
+            calls.clear()
+            thermo_report(StatisticsSpec(B, (1, 3, 2)), energies, EnsembleParams(1.0, 0.0))
+            assert len(calls) == 3
 
     @pytest.mark.parametrize(
         "q, kind, energies, mu",
@@ -320,7 +335,120 @@ class TestThermoReport:
             assert rep.mean_E == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
+def _mode_reference(spec, t):
+    """The scalar evaluator that thermo._modes vectorises, one mode at a time:
+    log chi_1 and the mean excitation at y = e^t."""
+    closed = spec.order == 1 and spec.unique_vacuum
+    if spec.is_fermionic_like:
+        terms = [s * t + math.log(c) for s, c in enumerate(spec.q)]
+        m = max(terms)
+        weights = [math.exp(v - m) for v in terms]
+        log_chi = m + math.log(sum(weights))
+        if not closed:
+            return log_chi, sum(s * w for s, w in enumerate(weights)) / sum(weights)
+    else:
+        coeffs = build_polynomial(spec)
+        y = math.exp(t)
+        if abs(_poly_eval(coeffs, y)) <= 1e-12 * _poly_eval([abs(c) for c in coeffs], y):
+            y = Fraction(y)
+        value = _poly_eval(coeffs, y)
+        log_chi = -math.log(value)
+        if not closed:
+            slope = y * _poly_eval([s * c for s, c in enumerate(coeffs)][1:], y)
+            return log_chi, float(-slope / value)
+    q, x = spec.q[1], -t
+    if x > 700.0:
+        return log_chi, q * math.exp(-x)
+    return log_chi, 1.0 / (math.exp(x) / q + (1.0 if spec.is_fermionic_like else -1.0))
+
+
+class TestModes:
+    @pytest.mark.parametrize(
+        "kind, q",
+        [
+            (F, (1, 1)), (F, (1, 3)), (F, (2, 3)), (F, (1, 2, 1)), (F, (1, 3, 2)),
+            (F, (1, 3, 3, 1)), (F, (1, 4, 6, 4, 1)),
+            (B, (1, 1)), (B, (1, 3)), (B, (1, 2, 1)), (B, (1, 4, 4)), (B, (1, 3, 2)),
+            (B, (1, 3, 3, 1)), (B, (1, 6, 11, 6)), (B, (1, 4, 6, 4, 1)),
+        ],
+    )
+    def test_bit_identical_to_the_scalar_evaluator(self, kind, q):
+        spec = StatisticsSpec(kind, q)
+        rng = random.Random(7)
+        ts = [-800.0, -750.0, -701.0, -700.0, -699.5, -40.0, -3.0, -1.0, -0.25]
+        ts += [rng.uniform(-12.0, -1e-3) for _ in range(40)]
+        if spec.is_fermionic_like:
+            ts += [0.0, 0.5, 3.0, 40.0, 800.0] + [rng.uniform(-5.0, 30.0) for _ in range(20)]
+        else:
+            # just below the wall, where float Q+ cancels next to a repeated root
+            wall = math.log(least_positive_root(build_polynomial(spec)))
+            ts += [wall - d for d in (1e-15, 1e-12, 1e-9, 1e-6, 1e-3)]
+            ts = [t for t in ts if not thermo._diverges(spec, t)]
+        log_chi, n = thermo._modes(spec, np.array(ts))
+        want = [_mode_reference(spec, t) for t in ts]
+        assert log_chi.tolist() == [w[0] for w in want]
+        assert n.tolist() == [w[1] for w in want]
+
+    def test_repeated_roots_reach_the_fraction_branch(self):
+        for q in ((1, 2, 1), (1, 4, 4), (1, 3, 3, 1)):
+            spec = StatisticsSpec(B, q)
+            t = math.log(least_positive_root(build_polynomial(spec))) - 1e-9
+            y = math.exp(t)
+            coeffs = build_polynomial(spec)
+            assert abs(_poly_eval(coeffs, y)) <= 1e-12 * _poly_eval([abs(c) for c in coeffs], y)
+            assert thermo._modes(spec, np.array([t]))[1].tolist() == [_mode_reference(spec, t)[1]]
+
+
+    def test_float_overflow_stays_silent(self):
+        # beta (eps - mu) overflowing to -inf, 0 * inf and q e^-x past 1e308
+        # give inf and nan without a warning, as Python floats do
+        cases = [
+            (F11, [1e308, 1.0], 10.0),
+            (StatisticsSpec(F, (1, 2, 1)), [1e308, 1.0], 10.0),
+            (StatisticsSpec(F, (1, 20000)), [700.0, 1.0], 1.0),
+            (B11, [1e308, 1.0], 10.0),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for spec, energies, beta in cases:
+                rep = thermo_report(spec, energies, EnsembleParams(beta, 0.0))
+                want = [_mode_reference(spec, -beta * e) for e in energies]
+                assert repr(rep.logZ) == repr(sum(w[0] for w in want))
+                assert repr(rep.occupations) == repr(tuple(w[1] for w in want))
+            rows = sweep(F11, (-1e308, 1e308, 5), EnsembleParams(1e308, 0.0))
+            assert [r.flag for r in rows] == ["ok"] * 5
+
+
 class TestSweep:
+    def test_bisects_for_the_wall(self, monkeypatch):
+        calls = []
+        diverges = thermo._diverges
+        monkeypatch.setattr(thermo, "_diverges", lambda *a: calls.append(a) or diverges(*a))
+        rows = sweep(B11, (-1.5, 4.0, 960), EnsembleParams(1.0, 0.0))
+        assert 0 < [r.flag for r in rows].count("divergent") < 960
+        assert len(calls) <= 11
+
+    def test_flags_and_values_match_row_by_row(self):
+        rng = random.Random(2024)
+        grids = [(0.0, 2 * math.log(2), 3), (-1.0, 1.0, 3), (1.0, -1.0, 5), (0.3, 0.3, 1)]
+        grids += [(0.0, -2.0, 1), (math.log(2), math.log(2), 4)]
+        grids += [(rng.uniform(-3, 3), rng.uniform(-3, 3), rng.randint(1, 40)) for _ in range(20)]
+        for spec in (B11, B13, StatisticsSpec(B, (1, 2, 1)), StatisticsSpec(B, (1, 3, 2)), F12):
+            for beta, mu in ((1.0, 0.0), (2.5, -0.4)):
+                params = EnsembleParams(beta, mu)
+                for grid in grids:
+                    rows = sweep(spec, grid, params)
+                    for r in rows:
+                        divergent = thermo._diverges(spec, -beta * (r.epsilon - mu))
+                        assert r.flag == ("divergent" if divergent else "ok")
+                        if divergent:
+                            assert math.isnan(r.n)
+                        else:
+                            assert r.n == mean_occupation(spec, r.epsilon, params)
+        # the wall falls on a grid point: that row diverges (t = -0.0)
+        flags = [r.flag for r in sweep(B11, (-1.0, 1.0, 3), EnsembleParams(1.0, 0.0))]
+        assert flags == ["ok", "divergent", "divergent"][::-1]
+
     def test_flags_and_schema(self):
         rows = sweep(B12, (0.0, 2.0, 5), EnsembleParams(1.0, 0.0))
         assert [r.flag for r in rows] == ["divergent", "divergent", "ok", "ok", "ok"]
