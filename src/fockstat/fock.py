@@ -15,7 +15,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, product
+from itertools import accumulate
 from typing import Sequence
 
 from .classify import (
@@ -141,45 +141,43 @@ def enumerate_basis(
 ) -> list[OccupationState]:
     """Occupation basis in colexicographic order.
 
-    Fermionic-like labels enumerate the full hypercube {0..p}^d; bosonic-like
-    ones are infinite per mode, so the mandatory cutoff bounds the total
-    excitation instead.
+    Fermionic-like labels enumerate the full hypercube {0..p}^d and ignore
+    the cutoff; bosonic-like ones are infinite per mode, so the mandatory
+    cutoff bounds the total excitation instead.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     require_valid(spec)
     if spec.is_fermionic_like:
-        p = max_occupation(spec)
-        return [tuple(reversed(t)) for t in product(range(p + 1), repeat=d)]
-    if excitation_cutoff is None:
+        excitation_cutoff = d * spec.order  # every state's excitation is within it
+    elif excitation_cutoff is None:
         raise ValueError(
             "bosonic-like bases are infinite: excitation_cutoff is mandatory"
         )
     starts = _starts(spec, excitation=excitation_cutoff + 1)
     # f_of[n] for every occupation n whose excitation is within the cutoff
-    f_of = [s for s in range(excitation_cutoff + 1) for _ in range(starts[s], starts[s + 1])]
+    f_of = [s for s in range(min(excitation_cutoff + 1, len(starts) - 1))
+            for _ in range(starts[s], starts[s + 1])]
 
     states: list[OccupationState] = []
 
-    def rec(prefix: tuple[int, ...], budget: int) -> None:
-        if len(prefix) == d:
-            states.append(prefix)
+    def rec(suffix: tuple[int, ...], budget: int) -> None:
+        """Fill modes from the last one, so states come out in colex order."""
+        if len(suffix) == d:
+            states.append(suffix)
             return
         for n, f in enumerate(f_of):
             if f <= budget:
-                rec(prefix + (n,), budget - f)
+                rec((n,) + suffix, budget - f)
 
     rec((), excitation_cutoff)
-    states.sort(key=lambda s: tuple(reversed(s)))
+    del rec  # rec refers to itself: free it and its view of states now, not at a full gc
     return states
 
 
 def sector_states(spec: StatisticsSpec, d: int, N: int) -> list[OccupationState]:
     """Basis slice with total excitation exactly N (colex order)."""
-    basis = enumerate_basis(
-        spec, d, excitation_cutoff=None if spec.is_fermionic_like else N
-    )
-    return [s for s in basis if excitation_number(spec, s) == N]
+    return [s for s in enumerate_basis(spec, d, N) if excitation_number(spec, s) == N]
 
 
 def decompose(

@@ -3,10 +3,11 @@
 Units: k_B = 1 throughout; temperatures are energies (beta = 1/T).  The
 single-mode partition function is the character evaluated at y = exp(-beta
 (eps - mu)); occupations follow from its logarithmic derivative, which for
-order-one labels reduces to the familiar 1/((1/q) e^{beta(eps-mu)} +- 1).
-Bosonic-like divergence (the condensation wall at the smallest positive root
-of the defining polynomial) is detected exactly in rational arithmetic and
-raised as a typed error, never returned as a NaN.
+order-one labels reduces to the familiar 1/((1/q) e^{beta(eps-mu)} +- 1),
+used on every mode but those where float Q+ cancels next to the bosonic
+wall (the exact Fraction branch evaluates those).  Bosonic-like divergence
+(the condensation wall at the smallest positive root of the defining
+polynomial) is detected exactly and raised as a typed error, never a NaN.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ SOLVE_TOL = 1e-10
 SOLVE_MAX_ITER = 200
 
 # NumPy arithmetic with Python float semantics: overflow to inf and nan from
-# inf pass without a warning (division by zero is checked where it can occur)
+# inf pass without a warning (no division in this module meets a zero divisor)
 _float_semantics = np.errstate(over="ignore", invalid="ignore")
 
 
@@ -90,10 +91,7 @@ def _diverges(spec: StatisticsSpec, t: float) -> bool:
         return False
     if t >= 0.0:
         return True
-    y = math.exp(t)
-    if y == 0.0:
-        return False
-    return count_real_roots_upto(build_polynomial(spec), Fraction(y)) >= 1
+    return count_real_roots_upto(build_polynomial(spec), Fraction(math.exp(t))) >= 1
 
 
 @_float_semantics
@@ -106,7 +104,6 @@ def _exponents(
     if not spec.is_fermionic_like:
         for k, t_k in enumerate(t.tolist()):
             if _diverges(spec, t_k):
-                _modes(spec, t[:k])  # an error of an earlier mode comes first
                 raise DivergenceError(mode=k)
     return t
 
@@ -122,19 +119,18 @@ def _modes(spec: StatisticsSpec, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     """log chi_1(y) and the mean excitation y chi_1'(y)/chi_1(y) at y = e^t,
     one entry per mode, in the convergent region: one log-sum-exp over the
     polynomial terms if fermionic-like; if bosonic-like, chi_1 = 1/Q+ with
-    Q+(y) taken in Fractions on the modes where float Q+(y) cancels to (or
-    past) 0 next to a repeated root below the wall.  Order one with a unique
-    vacuum keeps the closed-form occupation.  Each float operation is the
-    per-mode one in the same order, so every entry is bit-identical to a
-    scalar evaluation."""
-    closed = spec.order == 1 and spec.unique_vacuum
+    Q+(y) taken in Fractions on the exact modes, where float Q+(y) cancels to
+    (or past) 0 next to the wall.  Order one with a unique vacuum then takes
+    the closed-form occupation on every other mode, where e^x/q - 1 is far
+    from 0.  Each float operation is the per-mode one in the same order, so
+    every entry is bit-identical to a scalar evaluation."""
+    exact = np.zeros(t.shape, bool)
     if spec.is_fermionic_like:
         terms = np.array([s * t + math.log(c) for s, c in enumerate(spec.q)])
         m = terms.max(axis=0)
         weights = _libm(math.exp, terms - m)  # rows summed in order by sum()
         log_chi = m + _libm(math.log, sum(weights))
-        if not closed:
-            return log_chi, sum(s * w for s, w in enumerate(weights)) / sum(weights)
+        n = sum(s * w for s, w in enumerate(weights)) / sum(weights)
     else:
         coeffs = build_polynomial(spec)
         slope = [s * c for s, c in enumerate(coeffs)][1:]
@@ -143,23 +139,19 @@ def _modes(spec: StatisticsSpec, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         exact = np.abs(value) <= 1e-12 * _poly_eval([abs(c) for c in coeffs], y)
         value[exact] = 1.0  # placeholder: those modes are redone in Fractions
         log_chi = -_libm(math.log, value)
-        if not closed:
-            n = -(y * _poly_eval(slope, y)) / value
+        n = -(y * _poly_eval(slope, y)) / value
         for k in np.flatnonzero(exact).tolist():
             y_k = Fraction(y[k].item())
             value_k = _poly_eval(coeffs, y_k)
             log_chi[k] = -math.log(value_k)
-            if not closed:
-                n[k] = float(-(y_k * _poly_eval(slope, y_k)) / value_k)
-        if not closed:
-            return log_chi, n
-    q, x = spec.q[1], -t  # 1/((1/q) e^x +- 1), x = beta (eps - mu)
-    far = x > 700.0
-    e = _libm(math.exp, np.where(far, -x, x))
-    denominator = e / q + (1.0 if spec.is_fermionic_like else -1.0)
-    if not denominator.all():  # e^x rounds to q right below the bosonic wall
-        raise ZeroDivisionError("float division by zero")
-    return log_chi, np.where(far, q * e, 1.0 / denominator)
+            n[k] = float(-(y_k * _poly_eval(slope, y_k)) / value_k)
+    if spec.order == 1 and spec.unique_vacuum:
+        q, x = spec.q[1], -t[~exact]  # 1/((1/q) e^x +- 1), x = beta (eps - mu)
+        far = x > 700.0
+        e = _libm(math.exp, np.where(far, -x, x))
+        sign = 1.0 if spec.is_fermionic_like else -1.0
+        n[~exact] = np.where(far, q * e, 1.0 / (e / q + sign))
+    return log_chi, n
 
 
 def canonical_logZ(spec: StatisticsSpec, energies: Sequence[float], beta: float) -> float:

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import time
 
 import numpy as np
@@ -471,6 +472,58 @@ class TestThermoCommand:
         )
         assert code == 0
         assert doc["mean_N"] == pytest.approx(1.0, abs=1e-10)
+
+    def test_sweep_a_hair_below_the_wall(self, capsys):
+        # the grid point 0.1 + 2^-52-ish lands 8e-17 above mu, where e^x
+        # rounds to 1 but the mode still converges
+        code, out, err = run(
+            capsys, "thermo", "1,1:+", "--energies", "1", "--beta", "1",
+            "--mu", "0.1", "--sweep=-2:4:301",
+        )
+        assert code == 0, err
+        assert "0.10000000000000009,9007199254740991.0,ok" in out.splitlines()
+
+    def test_report_a_hair_below_the_wall(self, capsys):
+        code, doc, _ = run_json(
+            capsys, "thermo", "1,1:+", "--energies", "1e-16", "--beta", "1", "--mu", "0"
+        )
+        assert code == 0
+        assert doc["occupations"] == [2.0**53 - 1]
+
+    def test_unbracketed_solve_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "thermo", "1,1:+", "--energies", "700", "--beta", "1e-12",
+            "--target-N", "1e-12",
+        )
+        assert code == EXPECT_PARSE
+        assert out == ""
+        assert "failed to bracket the chemical potential from below" in err
+
+    def test_extreme_arguments_fuzz(self, capsys):
+        # every run ends in a documented exit code; an exception escaping
+        # main (a RuntimeWarning too, under -W error) fails the test
+        rng = random.Random(25)
+        values = ["1e308", "-1e308", "700", "-700", "1e-16", "-1e-16", "5.6e-17", "0"]
+        betas = ["1e-12", "1e-6", "1", "1e6", "1e12"]
+        labels = ["1,1:+", "1,2:+", "1,2,1:+", "1,1:-", "1,2:-", "1,3,2:-"]
+        documented = {0, 1, 2, 3, 4, 5, 6}
+        for _ in range(120):
+            argv = [
+                "thermo", rng.choice(labels),
+                "--energies=" + ",".join(rng.choices(values, k=rng.randint(1, 3))),
+                "--beta=" + rng.choice(betas),
+            ]
+            mode = rng.choice(["--mu", "--target-N", "--sweep"])
+            if mode == "--target-N":
+                argv.append(f"--target-N={rng.choice(['1e-12', '0.5', '1', '2.5', '1e6'])}")
+            else:
+                argv.append(f"--mu={rng.choice(values)}")
+            if mode == "--sweep":
+                lo, hi = rng.choices(values, k=2)
+                argv.append(f"--sweep={lo}:{hi}:{rng.randint(1, 40)}")
+            code, _, err = run(capsys, *argv)
+            assert code in documented, argv
+            assert "Traceback" not in err, argv
 
 
 def test_parser_built_once(capsys):

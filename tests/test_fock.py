@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 from itertools import product
 
@@ -51,6 +52,21 @@ class TestEnumerateBasis:
 
     def test_colex_order(self):
         assert enumerate_basis(fspec(1, 1), 2) == [(0, 0), (1, 0), (0, 1), (1, 1)]
+        for spec, cutoff in ((fspec(1, 3, 2), None), (bspec(1, 2), 3), (bspec(1, 3, 2), 4)):
+            states = enumerate_basis(spec, 3, cutoff)
+            assert states == sorted(states, key=lambda s: s[::-1])
+
+    def test_fermionic_cutoff_ignored(self):
+        whole = enumerate_basis(fspec(1, 2), 3)
+        assert all(enumerate_basis(fspec(1, 2), 3, c) == whole for c in (-1, 0, 2))
+
+    def test_basis_list_is_not_kept_alive(self):
+        # a recursion closure that refers to itself would hold the list
+        # until a full garbage collection
+        for spec, cutoff in ((fspec(1, 2), None), (bspec(1, 2), 3)):
+            basis, fresh = enumerate_basis(spec, 3, cutoff), []
+            refs = sys.getrefcount(basis), sys.getrefcount(fresh)
+            assert refs[0] == refs[1]
 
     def test_bosonic_needs_cutoff(self):
         with pytest.raises(ValueError):

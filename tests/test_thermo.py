@@ -61,11 +61,11 @@ class TestPartitionFunctions:
         assert exc.value.code == "divergence"
 
     def test_modes_fail_in_mode_order(self):
-        # at eps = 1e-16 the closed form's e^x/q - 1 rounds to 0 (a float
-        # division by zero); that failure of mode 0 comes before the
-        # divergence of mode 1, and after a divergence of mode 0
-        with pytest.raises(ZeroDivisionError):
+        # eps = 1e-16 sits a hair below the wall and converges, so the first
+        # divergent mode is the one named, whichever side of it that mode is
+        with pytest.raises(DivergenceError) as exc:
             grand_logZ(B11, [1e-16, -1.0], EnsembleParams(1.0, 0.0))
+        assert exc.value.mode == 1
         with pytest.raises(DivergenceError) as exc:
             grand_logZ(B11, [-1.0, 1e-16], EnsembleParams(1.0, 0.0))
         assert exc.value.mode == 0
@@ -338,28 +338,27 @@ class TestThermoReport:
 def _mode_reference(spec, t):
     """The scalar evaluator that thermo._modes vectorises, one mode at a time:
     log chi_1 and the mean excitation at y = e^t."""
-    closed = spec.order == 1 and spec.unique_vacuum
+    exact = False
     if spec.is_fermionic_like:
         terms = [s * t + math.log(c) for s, c in enumerate(spec.q)]
         m = max(terms)
         weights = [math.exp(v - m) for v in terms]
         log_chi = m + math.log(sum(weights))
-        if not closed:
-            return log_chi, sum(s * w for s, w in enumerate(weights)) / sum(weights)
+        n = sum(s * w for s, w in enumerate(weights)) / sum(weights)
     else:
         coeffs = build_polynomial(spec)
         y = math.exp(t)
         if abs(_poly_eval(coeffs, y)) <= 1e-12 * _poly_eval([abs(c) for c in coeffs], y):
-            y = Fraction(y)
+            exact, y = True, Fraction(y)
         value = _poly_eval(coeffs, y)
         log_chi = -math.log(value)
-        if not closed:
-            slope = y * _poly_eval([s * c for s, c in enumerate(coeffs)][1:], y)
-            return log_chi, float(-slope / value)
-    q, x = spec.q[1], -t
-    if x > 700.0:
-        return log_chi, q * math.exp(-x)
-    return log_chi, 1.0 / (math.exp(x) / q + (1.0 if spec.is_fermionic_like else -1.0))
+        n = float(-(y * _poly_eval([s * c for s, c in enumerate(coeffs)][1:], y)) / value)
+    if spec.order == 1 and spec.unique_vacuum and not exact:
+        q, x = spec.q[1], -t
+        if x > 700.0:
+            return log_chi, q * math.exp(-x)
+        return log_chi, 1.0 / (math.exp(x) / q + (1.0 if spec.is_fermionic_like else -1.0))
+    return log_chi, n
 
 
 class TestModes:
@@ -398,6 +397,25 @@ class TestModes:
             assert abs(_poly_eval(coeffs, y)) <= 1e-12 * _poly_eval([abs(c) for c in coeffs], y)
             assert thermo._modes(spec, np.array([t]))[1].tolist() == [_mode_reference(spec, t)[1]]
 
+
+    def test_order_one_next_to_the_bosonic_wall(self):
+        # e^x rounds to q here while y = e^-x stays below the wall 1/q: the
+        # closed form would divide by zero (or cancel), the exact branch gives
+        # the finite occupation y/(1/q - y)
+        params = EnsembleParams(1.0, 0.0)
+        for eps in (5.6e-17, 8e-17, 1e-16):
+            n = mean_occupation(B11, eps, params)
+            assert math.isfinite(n) and n > 1e15
+        assert mean_occupation(B11, 1e-16, params) == 2.0**53 - 1
+        for spec in (B12, B13):
+            wall = -math.log(least_positive_root(build_polynomial(spec)))
+            for eps in (wall, math.nextafter(wall, math.inf), wall * (1 + 1e-15), wall + 1e-12):
+                if thermo._diverges(spec, -eps):
+                    continue
+                y = Fraction(math.exp(-eps))
+                want = float(y / (Fraction(1, spec.q[1]) - y))
+                assert mean_occupation(spec, eps, params) == want
+                assert thermo_report(spec, [eps, 5.0], params).occupations[0] == want
 
     def test_float_overflow_stays_silent(self):
         # beta (eps - mu) overflowing to -inf, 0 * inf and q e^-x past 1e308
