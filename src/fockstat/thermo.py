@@ -8,6 +8,8 @@ used on every mode but those where float Q+ cancels next to the bosonic
 wall (the exact Fraction branch evaluates those).  Bosonic-like divergence
 (the condensation wall at the smallest positive root of the defining
 polynomial) is detected exactly and raised as a typed error, never a NaN.
+Fermionic-like values come from a NumPy log-sum-exp (README: float tolerance
+of thermodynamics); bosonic-like ones and order-one occupations from libm.
 """
 
 from __future__ import annotations
@@ -109,28 +111,31 @@ def _exponents(
 
 
 def _libm(f, a: np.ndarray) -> np.ndarray:
-    """math.exp or math.log elementwise: libm's rounding, which NumPy's
-    vectorised exp and log do not reproduce in the last bit."""
+    """math.exp or math.log elementwise, with libm's rounding, which NumPy's
+    exp and log miss in the last bit on some machines: a bosonic y = e^t must
+    be the float that _diverges certified, and the closed form libm's."""
     return np.fromiter(map(f, a.ravel().tolist()), float, a.size).reshape(a.shape)
 
 
 @_float_semantics
 def _modes(spec: StatisticsSpec, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """log chi_1(y) and the mean excitation y chi_1'(y)/chi_1(y) at y = e^t,
-    one entry per mode, in the convergent region: one log-sum-exp over the
-    polynomial terms if fermionic-like; if bosonic-like, chi_1 = 1/Q+ with
-    Q+(y) taken in Fractions on the exact modes, where float Q+(y) cancels to
-    (or past) 0 next to the wall.  Order one with a unique vacuum then takes
-    the closed-form occupation on every other mode, where e^x/q - 1 is far
-    from 0.  Each float operation is the per-mode one in the same order, so
-    every entry is bit-identical to a scalar evaluation."""
+    one entry per mode, in the convergent region: one NumPy log-sum-exp over
+    the polynomial terms if fermionic-like (t = -inf gives n = 0, chi_1 = q_0);
+    if bosonic-like, chi_1 = 1/Q+ at libm's y, with Q+(y) taken in Fractions on
+    the exact modes, where float Q+(y) cancels to (or past) 0 next to the wall.
+    Order one with a unique vacuum then takes the closed-form occupation (libm)
+    on every other mode, where e^x/q - 1 is far from 0.  Bosonic-like entries
+    are bit-identical to a scalar libm evaluation."""
     exact = np.zeros(t.shape, bool)
     if spec.is_fermionic_like:
         terms = np.array([s * t + math.log(c) for s, c in enumerate(spec.q)])
+        terms[0] = math.log(spec.q[0])  # no t: at t = -inf, 0 * t is nan
         m = terms.max(axis=0)
-        weights = _libm(math.exp, terms - m)  # rows summed in order by sum()
-        log_chi = m + _libm(math.log, sum(weights))
-        n = sum(s * w for s, w in enumerate(weights)) / sum(weights)
+        weights = np.exp(terms - m)
+        total = weights.sum(axis=0)
+        log_chi = m + np.log(total)
+        n = np.arange(spec.order + 1) @ weights / total
     else:
         coeffs = build_polynomial(spec)
         slope = [s * c for s, c in enumerate(coeffs)][1:]

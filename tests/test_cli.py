@@ -30,6 +30,33 @@ def run_json(capsys, *argv):
     return code, json.loads(out), err
 
 
+DOCUMENTED_EXITS = {0, 1, 2, 3, 4, 5, 6}
+MALFORMED_LABELS = [",:-", "1:-", "1,2:x", "1,-2:-"]
+
+
+def fuzz_label(rng):
+    """A label of degree 1-4 with coefficients 0-9 (zeros and invalid labels
+    included), or a malformed one."""
+    if rng.random() < 0.2:
+        return rng.choice(MALFORMED_LABELS)
+    coeffs = [rng.randint(1, 9)] + [rng.randint(0, 9) for _ in range(rng.randint(1, 4))]
+    return ",".join(map(str, coeffs)) + rng.choice([":-", ":+"])
+
+
+def run_fuzzed(capsys, *argv):
+    """run() that also takes argparse's exit; on exit 0 a JSON stdout must be
+    strict JSON, with no NaN or Infinity."""
+    try:
+        code, out, err = run(capsys, *argv)
+    except SystemExit as exc:
+        code, (out, err) = exc.code, capsys.readouterr()
+    assert code in DOCUMENTED_EXITS, argv
+    assert "Traceback" not in err, argv
+    if code == 0 and "csv" not in argv:
+        json.loads(out, parse_constant=lambda c: pytest.fail(f"non-finite {c} from {argv}"))
+    return code, out
+
+
 class TestClassifyCommand:
     def test_ordinary_fermions(self, capsys):
         code, doc, _ = run_json(capsys, "classify", "1,1:-")
@@ -87,8 +114,24 @@ class TestClassifyCommand:
         assert code == EXPECT_INVALID
         assert not doc["valid"] and doc["irreducible"] is None
 
+    def test_fuzz(self, capsys):
+        rng = random.Random(26)
+        for _ in range(200):
+            run_fuzzed(capsys, "classify", fuzz_label(rng))
+
 
 class TestDecomposeCommand:
+    def test_fuzz(self, capsys):
+        rng = random.Random(26)
+        for _ in range(200):
+            argv = ["decompose", fuzz_label(rng), f"--modes={rng.randint(1, 3)}"]
+            if rng.random() < 0.7:
+                argv.append(f"--max-weight={rng.randint(-1, 5)}")
+            argv += rng.choice([[], ["--format", "csv"]]) + rng.choice([[], ["--check-oracle"]])
+            code, out = run_fuzzed(capsys, *argv)
+            if code == 0 and "csv" in argv:
+                assert out.startswith("partition,multiplicity\n"), argv
+
     def test_order_one_table(self, capsys):
         code, doc, _ = run_json(capsys, "decompose", "1,2:-", "--modes", "2")
         assert code == 0
@@ -506,7 +549,6 @@ class TestThermoCommand:
         values = ["1e308", "-1e308", "700", "-700", "1e-16", "-1e-16", "5.6e-17", "0"]
         betas = ["1e-12", "1e-6", "1", "1e6", "1e12"]
         labels = ["1,1:+", "1,2:+", "1,2,1:+", "1,1:-", "1,2:-", "1,3,2:-"]
-        documented = {0, 1, 2, 3, 4, 5, 6}
         for _ in range(120):
             argv = [
                 "thermo", rng.choice(labels),
@@ -522,7 +564,7 @@ class TestThermoCommand:
                 lo, hi = rng.choices(values, k=2)
                 argv.append(f"--sweep={lo}:{hi}:{rng.randint(1, 40)}")
             code, _, err = run(capsys, *argv)
-            assert code in documented, argv
+            assert code in DOCUMENTED_EXITS, argv
             assert "Traceback" not in err, argv
 
 

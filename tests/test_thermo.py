@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import warnings
@@ -5,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fockstat import thermo
 from fockstat.classify import Kind, StatisticsSpec, _poly_eval, build_polynomial, least_positive_root
@@ -336,29 +338,40 @@ class TestThermoReport:
 
 
 def _mode_reference(spec, t):
-    """The scalar evaluator that thermo._modes vectorises, one mode at a time:
-    log chi_1 and the mean excitation at y = e^t."""
-    exact = False
-    if spec.is_fermionic_like:
-        terms = [s * t + math.log(c) for s, c in enumerate(spec.q)]
-        m = max(terms)
-        weights = [math.exp(v - m) for v in terms]
-        log_chi = m + math.log(sum(weights))
-        n = sum(s * w for s, w in enumerate(weights)) / sum(weights)
-    else:
-        coeffs = build_polynomial(spec)
-        y = math.exp(t)
-        if abs(_poly_eval(coeffs, y)) <= 1e-12 * _poly_eval([abs(c) for c in coeffs], y):
-            exact, y = True, Fraction(y)
-        value = _poly_eval(coeffs, y)
-        log_chi = -math.log(value)
-        n = float(-(y * _poly_eval([s * c for s, c in enumerate(coeffs)][1:], y)) / value)
+    """The scalar libm evaluator that thermo._modes vectorises for bosonic-like
+    labels, one mode at a time: log chi_1 and the mean excitation at y = e^t.
+    Fermionic-like labels are checked against _assert_near_exact instead."""
+    coeffs = build_polynomial(spec)
+    y, exact = math.exp(t), False
+    if abs(_poly_eval(coeffs, y)) <= 1e-12 * _poly_eval([abs(c) for c in coeffs], y):
+        exact, y = True, Fraction(y)
+    value = _poly_eval(coeffs, y)
+    log_chi = -math.log(value)
+    n = float(-(y * _poly_eval([s * c for s, c in enumerate(coeffs)][1:], y)) / value)
     if spec.order == 1 and spec.unique_vacuum and not exact:
         q, x = spec.q[1], -t
         if x > 700.0:
             return log_chi, q * math.exp(-x)
-        return log_chi, 1.0 / (math.exp(x) / q + (1.0 if spec.is_fermionic_like else -1.0))
+        return log_chi, 1.0 / (math.exp(x) / q - 1.0)
     return log_chi, n
+
+
+def _assert_near_exact(spec, ts, log_chi, n):
+    """log chi_1 = log sum_s q_s y^s and n = y chi_1'/chi_1 at y = e^t, for
+    every t of ts, against mpmath at 50 digits: the README's float tolerance
+    of fermionic-like thermodynamics.  Rounding s t + log q_s moves each
+    log-sum-exp exponent by about 2^-53 s |t|, which n carries as a relative
+    error (n ~ (q_1/q_0) e^t as t -> -inf), so its bound grows with |t|."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    for t, got_log_chi, got_n in zip(ts, log_chi.tolist(), n.tolist()):
+        y = mpmath.exp(mpmath.mpf(t))
+        chi = sum(c * y**s for s, c in enumerate(spec.q))
+        want_log_chi = float(mpmath.log(chi))
+        want_n = float(sum(s * c * y**s for s, c in enumerate(spec.q)) / chi)
+        assert abs(got_log_chi - want_log_chi) <= 1e-13 * max(1.0, abs(want_log_chi)), (t, got_log_chi)
+        tol = 1e-13 + 2.0**-51 * spec.order * abs(t)
+        assert abs(got_n - want_n) <= tol * max(abs(want_n), 1e-300), (t, got_n, want_n)
 
 
 class TestModes:
@@ -372,6 +385,8 @@ class TestModes:
         ],
     )
     def test_bit_identical_to_the_scalar_evaluator(self, kind, q):
+        # bosonic-like: == the scalar libm evaluator; fermionic-like (a NumPy
+        # log-sum-exp): within the README's tolerance of the exact values
         spec = StatisticsSpec(kind, q)
         rng = random.Random(7)
         ts = [-800.0, -750.0, -701.0, -700.0, -699.5, -40.0, -3.0, -1.0, -0.25]
@@ -384,9 +399,38 @@ class TestModes:
             ts += [wall - d for d in (1e-15, 1e-12, 1e-9, 1e-6, 1e-3)]
             ts = [t for t in ts if not thermo._diverges(spec, t)]
         log_chi, n = thermo._modes(spec, np.array(ts))
+        if spec.is_fermionic_like:
+            _assert_near_exact(spec, ts, log_chi, n)
+            return
         want = [_mode_reference(spec, t) for t in ts]
         assert log_chi.tolist() == [w[0] for w in want]
         assert n.tolist() == [w[1] for w in want]
+
+    @given(
+        st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9)), min_size=1, max_size=6),
+        st.integers(0, 5),
+        st.lists(
+            st.one_of(st.floats(-800.0, 800.0), st.sampled_from([-800.0, -700.0, 0.0, 700.0, 800.0])),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_fermionic_like_labels_from_negative_rational_roots(self, roots, repeat, ts):
+        # prod_i (b_i + a_i y): real roots -b_i/a_i, the first `repeat` ones doubled
+        q = [1]
+        for a, b in (roots + roots[:repeat])[:6]:
+            q = [b * lo + a * hi for lo, hi in zip(q + [0], [0] + q)]
+        spec = StatisticsSpec(F, q)
+        _assert_near_exact(spec, ts, *thermo._modes(spec, np.array(ts)))
+
+    def test_fermionic_like_labels_skip_the_libm_map(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("elementwise libm map")
+
+        monkeypatch.setattr(thermo, "_libm", refuse)
+        spec, ts = StatisticsSpec(F, (1, 3, 1)), [-700.0, -3.0, 0.0, 0.5, 40.0]
+        _assert_near_exact(spec, ts, *thermo._modes(spec, np.array(ts)))
 
     def test_repeated_roots_reach_the_fraction_branch(self):
         for q in ((1, 2, 1), (1, 4, 4), (1, 3, 3, 1)):
@@ -418,11 +462,15 @@ class TestModes:
                 assert thermo_report(spec, [eps, 5.0], params).occupations[0] == want
 
     def test_float_overflow_stays_silent(self):
-        # beta (eps - mu) overflowing to -inf, 0 * inf and q e^-x past 1e308
-        # give inf and nan without a warning, as Python floats do
+        # beta (eps - mu) overflowing to -inf leaves the mode at its limits,
+        # n = 0 and chi_1 = q_0, and the report stays finite; 0 * inf and
+        # q e^-x past 1e308 pass without a warning, as Python floats do
         cases = [
             (F11, [1e308, 1.0], 10.0),
             (StatisticsSpec(F, (1, 2, 1)), [1e308, 1.0], 10.0),
+            (StatisticsSpec(F, (1, 3, 1)), [1e308, 1.0], 10.0),
+            (StatisticsSpec(F, (2, 3)), [1e308, 1.0], 10.0),
+            (StatisticsSpec(F, (1, 3, 3, 1)), [1e308, 1.0], 10.0),
             (StatisticsSpec(F, (1, 20000)), [700.0, 1.0], 1.0),
             (B11, [1e308, 1.0], 10.0),
         ]
@@ -430,9 +478,19 @@ class TestModes:
             warnings.simplefilter("error")
             for spec, energies, beta in cases:
                 rep = thermo_report(spec, energies, EnsembleParams(beta, 0.0))
-                want = [_mode_reference(spec, -beta * e) for e in energies]
-                assert repr(rep.logZ) == repr(sum(w[0] for w in want))
-                assert repr(rep.occupations) == repr(tuple(w[1] for w in want))
+                json.dumps(rep.__dict__, allow_nan=False)
+                ts = [-beta * e for e in energies]
+                if not spec.is_fermionic_like:
+                    want = [_mode_reference(spec, t) for t in ts]
+                    assert repr(rep.logZ) == repr(sum(w[0] for w in want))
+                    assert repr(rep.occupations) == repr(tuple(w[1] for w in want))
+                    continue
+                log_chi, n = thermo._modes(spec, np.array(ts))
+                assert rep.occupations == tuple(n.tolist())
+                if ts[0] == -math.inf:
+                    assert (log_chi[0], n[0]) == (math.log(spec.q[0]), 0.0)
+                    ts, log_chi, n = ts[1:], log_chi[1:], n[1:]
+                _assert_near_exact(spec, ts, log_chi, n)
             rows = sweep(F11, (-1e308, 1e308, 5), EnsembleParams(1e308, 0.0))
             assert [r.flag for r in rows] == ["ok"] * 5
 
