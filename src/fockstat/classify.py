@@ -375,14 +375,6 @@ def max_occupation(spec: StatisticsSpec) -> int | None:
     return None
 
 
-def _trial_guard(trials: int) -> ResourceGuardError:
-    return ResourceGuardError(
-        f"factorization guard exceeded: trials={trials} (or more) > "
-        f"FACTORIZATION_TRIAL_BOUND={FACTORIZATION_TRIAL_BOUND}, "
-        f"stopped after {FACTORIZATION_TRIAL_BOUND}"
-    )
-
-
 def _divisors(n: int) -> list[int]:
     """The positive divisors of n != 0, ascending, by trial division: refused
     past FACTORIZATION_TRIAL_BOUND**2 divisions, about the bound's second."""
@@ -390,8 +382,7 @@ def _divisors(n: int) -> list[int]:
     root = math.isqrt(n)
     if root > FACTORIZATION_TRIAL_BOUND**2:
         raise ResourceGuardError(
-            f"factorization guard exceeded: trials={root} (or more) > "
-            f"FACTORIZATION_TRIAL_BOUND**2={FACTORIZATION_TRIAL_BOUND**2}, stopped after 0"
+            "FACTORIZATION_TRIAL_BOUND**2", FACTORIZATION_TRIAL_BOUND**2, root, "trial division"
         )
     small = [d for d in range(1, root + 1) if n % d == 0]
     return sorted(set(small + [n // d for d in small]))
@@ -409,7 +400,9 @@ def _has_rational_root(coeffs: list[int]) -> bool:
         return True
     trials = 2 * len(nums) * len(dens)
     if trials > FACTORIZATION_TRIAL_BOUND:
-        raise _trial_guard(trials)
+        raise ResourceGuardError(
+            "FACTORIZATION_TRIAL_BOUND", FACTORIZATION_TRIAL_BOUND, trials, "rational root test"
+        )
     return False
 
 
@@ -445,8 +438,7 @@ def _is_irreducible(coeffs: list[int]) -> bool:
     deg = len(coeffs) - 1
     if deg > FACTORIZATION_DEGREE_BOUND:
         raise ResourceGuardError(
-            f"factorization guard exceeded: degree={deg} > "
-            f"FACTORIZATION_DEGREE_BOUND={FACTORIZATION_DEGREE_BOUND}"
+            "FACTORIZATION_DEGREE_BOUND", FACTORIZATION_DEGREE_BOUND, deg, "Kronecker factorization"
         )
     if deg <= 1:
         return True
@@ -471,7 +463,9 @@ def _is_irreducible(coeffs: list[int]) -> bool:
         # only once per factor degree
         trials += math.prod(map(len, divisor_lists))
         if trials > FACTORIZATION_TRIAL_BOUND:
-            raise _trial_guard(trials)
+            raise ResourceGuardError(
+                "FACTORIZATION_TRIAL_BOUND", FACTORIZATION_TRIAL_BOUND, trials, "Kronecker trials"
+            )
     return True
 
 
@@ -711,8 +705,7 @@ def totally_positive_upto(a: IntegerSeries, order: int) -> TotalPositivityResult
     """
     if order > TOTAL_POSITIVITY_ORDER_BOUND:
         raise ResourceGuardError(
-            f"total positivity guard exceeded: order={order} > "
-            f"TOTAL_POSITIVITY_ORDER_BOUND={TOTAL_POSITIVITY_ORDER_BOUND}"
+            "TOTAL_POSITIVITY_ORDER_BOUND", TOTAL_POSITIVITY_ORDER_BOUND, order, "total positivity"
         )
     if order < 1:
         raise ValueError("order must be >= 1")

@@ -259,24 +259,23 @@ def _cmd_thermo(args) -> int:
             rng = (float(lo), float(hi), int(steps))
         except ValueError as exc:
             raise LabelError(f"bad sweep {args.sweep!r}: use lo:hi:steps") from exc
-        if rng[2] < 1:
-            raise LabelError(f"bad sweep {args.sweep!r}: steps must be >= 1")
-    if args.target_N is not None:
-        try:
-            mu = thermo.solve_mu(spec, energies, beta, args.target_N)
-        except ValueError as exc:
-            raise LabelError(str(exc)) from exc
-    else:
+    try:
         mu = args.mu
-    params = thermo.EnsembleParams(beta=beta, mu=mu)
+        if args.target_N is not None:
+            mu = thermo.solve_mu(spec, energies, beta, args.target_N)
+        params = thermo.EnsembleParams(beta=beta, mu=mu)
+        if args.sweep:
+            rows = thermo.sweep(spec, rng, params)
+        else:
+            rep = thermo.thermo_report(spec, energies, params)
+    except ValueError as exc:
+        raise LabelError(str(exc)) from exc
     if args.sweep:
-        rows = thermo.sweep(spec, rng, params)
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["epsilon", "n", "flag"])
         for row in rows:
             writer.writerow([repr(row.epsilon), repr(row.n), row.flag])
         return EXIT_OK
-    rep = thermo.thermo_report(spec, energies, params)
     _emit(
         {
             "schema_version": SCHEMA_VERSION,

@@ -24,7 +24,7 @@ import numpy as np
 
 from .classify import Kind, StatisticsSpec, single_mode_character
 from .errors import ResourceGuardError
-from .fock import STARTS_HORIZON_BOUND, LabeledState, _join_occupation, _require_order_one
+from .fock import LabeledState, _join_occupation, _require_order_one
 from .fock import _split_occupation, excitation_number, from_aux_integers, from_labeled
 from .fock import sector_states, to_labeled
 
@@ -143,11 +143,8 @@ def bosonic_rep(g: np.ndarray, N: int) -> SectorRep:
 def _require_sector(spec: StatisticsSpec, d: int, N: int) -> None:
     """Checks on a sector before any state is built: an order-one label [1,q]
     with unique vacuum (so N counts particles), at most SECTOR_BASIS_BOUND
-    states for sector_states to enumerate on d modes (the (q+1)^d hypercube,
-    or q^E C(E+d-1, E) of each excitation E <= N, summed until past the
-    bound), and bosonic-like N within fock.STARTS_HORIZON_BOUND, the largest
-    occupation the block-start table covers, which only one-mode 1,1:+ can
-    pass here."""
+    states for sector_states to enumerate on d modes (the (q+1)^d hypercube, or
+    q^E C(E+d-1, E) of each excitation E <= N, summed until past the bound)."""
     _require_order_one(spec)
     q = spec.q[1]
     if spec.is_fermionic_like:
@@ -160,14 +157,8 @@ def _require_sector(spec: StatisticsSpec, d: int, N: int) -> None:
                 break
     if count > SECTOR_BASIS_BOUND:
         raise ResourceGuardError(
-            f"sector guard exceeded: {spec.label()} with N={N} on {d} modes enumerates "
-            f"at least {count} states > SECTOR_BASIS_BOUND={SECTOR_BASIS_BOUND}, "
-            f"over by at least {count - SECTOR_BASIS_BOUND}"
-        )
-    if not spec.is_fermionic_like and N > STARTS_HORIZON_BOUND:
-        raise ResourceGuardError(
-            f"sector guard exceeded: {spec.label()} with N={N} on {d} modes asks occupations "
-            f"past STARTS_HORIZON_BOUND={STARTS_HORIZON_BOUND}, over by {N - STARTS_HORIZON_BOUND}"
+            "SECTOR_BASIS_BOUND", SECTOR_BASIS_BOUND, count,
+            f"sector basis of {spec.label()} with N={N} on {d} modes",
         )
 
 

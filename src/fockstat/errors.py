@@ -34,7 +34,18 @@ class InsufficientHorizonError(FockstatError):
 
 
 class ResourceGuardError(FockstatError):
-    """An exact computation exceeded its instance-size guard."""
+    """An exact computation exceeded its instance-size guard: the module
+    constant ``bound_name`` = ``bound``, asked at least ``asked`` by ``subject``."""
+
+    def __init__(self, bound_name: str, bound: int, asked: int, subject: str = ""):
+        self.bound_name = bound_name
+        self.bound = bound
+        self.asked = asked
+        self.subject = subject
+        super().__init__(
+            f"{subject + ': ' if subject else ''}guard exceeded: {bound_name}={bound}, "
+            f"asked at least {asked}, over by at least {asked - bound}"
+        )
 
 
 class DivergenceError(FockstatError):

@@ -48,8 +48,8 @@ OccupationState = tuple[int, ...]
 
 # Largest horizon a bosonic-like block-start table doubles to: 1,1:+ then
 # covers occupations below 4,097.  A sector within SECTOR_BASIS_BOUND needs at
-# most 512 under 1,q:+ (q <= 3) on two or more modes; 1,1:+ on one mode could
-# outgrow it, so the sector guard (dynamics._require_sector) refuses N past it.
+# most 512 under 1,q:+ (q <= 3) on two or more modes; 1,1:+ on one mode can
+# outgrow it, and _starts then refuses it before any state of it is built.
 STARTS_HORIZON_BOUND = 1 << 12
 
 
@@ -105,9 +105,10 @@ def _starts(spec: StatisticsSpec, occupation: int = 0, excitation: int = 0) -> t
         horizon *= 2
         if horizon > STARTS_HORIZON_BOUND:
             raise ResourceGuardError(
-                f"block-start guard exceeded: {spec.label()} asks occupation {occupation}, "
-                f"excitation {excitation}; STARTS_HORIZON_BOUND={STARTS_HORIZON_BOUND} "
-                f"covers occupations below {starts[-1]} and excitations below {len(starts)}"
+                "STARTS_HORIZON_BOUND", STARTS_HORIZON_BOUND,
+                max(STARTS_HORIZON_BOUND + 1, excitation - 1),
+                f"block-start table of {spec.label()} at occupation {occupation}, "
+                f"excitation {excitation}",
             )
     return starts
 

@@ -356,10 +356,11 @@ def schur_expand_oracle(a: IntegerSeries, d: int, max_weight: int) -> dict[Parti
     leading monomials.  Small instances only: d <= ORACLE_MAX_MODES and
     max_weight <= ORACLE_MAX_WEIGHT.
     """
-    if d > ORACLE_MAX_MODES or max_weight > ORACLE_MAX_WEIGHT:
+    if d > ORACLE_MAX_MODES:
+        raise ResourceGuardError("ORACLE_MAX_MODES", ORACLE_MAX_MODES, d, "Schur expansion oracle")
+    if max_weight > ORACLE_MAX_WEIGHT:
         raise ResourceGuardError(
-            f"oracle guard exceeded: d={d} (ORACLE_MAX_MODES={ORACLE_MAX_MODES}), "
-            f"max_weight={max_weight} (ORACLE_MAX_WEIGHT={ORACLE_MAX_WEIGHT})"
+            "ORACLE_MAX_WEIGHT", ORACLE_MAX_WEIGHT, max_weight, "Schur expansion oracle"
         )
     if a.truncated and max_weight > a.horizon:
         raise InsufficientHorizonError(required=max_weight, horizon=a.horizon)

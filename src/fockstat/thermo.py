@@ -121,17 +121,19 @@ def _libm(f, a: np.ndarray) -> np.ndarray:
 def _modes(spec: StatisticsSpec, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """log chi_1(y) and the mean excitation y chi_1'(y)/chi_1(y) at y = e^t,
     one entry per mode, in the convergent region: one NumPy log-sum-exp over
-    the polynomial terms if fermionic-like (t = -inf gives n = 0, chi_1 = q_0);
-    if bosonic-like, chi_1 = 1/Q+ at libm's y, with Q+(y) taken in Fractions on
-    the exact modes, where float Q+(y) cancels to (or past) 0 next to the wall.
-    Order one with a unique vacuum then takes the closed-form occupation (libm)
-    on every other mode, where e^x/q - 1 is far from 0.  Bosonic-like entries
-    are bit-identical to a scalar libm evaluation."""
+    the polynomial terms if fermionic-like (t = -inf gives n = 0, chi_1 = q_0;
+    t = +inf raises ValueError); if bosonic-like, chi_1 = 1/Q+ at libm's y, with
+    Q+(y) in Fractions on the exact modes, where float Q+(y) cancels to (or
+    past) 0 next to the wall.  Order one with a unique vacuum then takes the
+    closed-form occupation (libm) on every other mode, where e^x/q - 1 is far
+    from 0.  Bosonic-like entries are bit-identical to a scalar libm evaluation."""
     exact = np.zeros(t.shape, bool)
     if spec.is_fermionic_like:
         terms = np.array([s * t + math.log(c) for s, c in enumerate(spec.q)])
         terms[0] = math.log(spec.q[0])  # no t: at t = -inf, 0 * t is nan
         m = terms.max(axis=0)
+        if m.size and m[m.argmax()] == math.inf:  # a t = +inf; argmax costs a third of max
+            raise ValueError("beta (eps - mu) overflows to -inf on a fermionic-like mode")
         weights = np.exp(terms - m)
         total = weights.sum(axis=0)
         log_chi = m + np.log(total)
@@ -210,8 +212,8 @@ def solve_mu(
             f"target_N={target_N} out of range: total excitation saturates "
             f"at d * order = {d * spec.order}"
         )
-    # aim just inside the feasible region so saturating targets stay solvable
-    shifted = target_N - SOLVE_TOL / 2
+    # aim just inside the feasible region (saturating targets stay solvable), above 0
+    shifted = target_N - min(SOLVE_TOL, target_N) / 2
 
     def total(mu: float) -> float:
         return _total_occupation(spec, energies, beta, mu)
@@ -259,9 +261,9 @@ def solve_mu(
         else:
             hi = mid
     raise ResourceGuardError(
-        f"chemical potential did not converge within SOLVE_MAX_ITER={SOLVE_MAX_ITER} "
-        f"bisection steps: |N - target| = {abs(value - target_N):.3g} at the last "
-        f"step, tolerance {SOLVE_TOL:g}"
+        "SOLVE_MAX_ITER", SOLVE_MAX_ITER, SOLVE_MAX_ITER + 1,
+        f"chemical potential bisection (|N - target| = {abs(value - target_N):.3g} "
+        f"at the last step, tolerance {SOLVE_TOL:g})",
     )
 
 
@@ -280,7 +282,8 @@ def thermo_report(
     occupations = tuple(n.tolist())
     mean_N = sum(occupations)
     mean_E = sum(e * n for e, n in zip(energies, occupations))
-    entropy = logZ + params.beta * mean_E - params.beta * params.mu * mean_N
+    # with every mode empty, beta mu may overflow while beta mu N is exactly 0
+    entropy = logZ + params.beta * mean_E - (params.beta * params.mu * mean_N if mean_N else 0.0)
     return ThermoReport(
         logZ=logZ,
         mean_N=mean_N,

@@ -44,15 +44,15 @@ def fuzz_label(rng):
 
 
 def run_fuzzed(capsys, *argv):
-    """run() that also takes argparse's exit; on exit 0 a JSON stdout must be
-    strict JSON, with no NaN or Infinity."""
+    """run() that also takes argparse's exit; on exit 0 a JSON stdout (all
+    but CSV tables and sweeps) must be strict JSON, with no NaN or Infinity."""
     try:
         code, out, err = run(capsys, *argv)
     except SystemExit as exc:
         code, (out, err) = exc.code, capsys.readouterr()
     assert code in DOCUMENTED_EXITS, argv
     assert "Traceback" not in err, argv
-    if code == 0 and "csv" not in argv:
+    if code == 0 and not any(a == "csv" or a.startswith("--sweep") for a in argv):
         json.loads(out, parse_constant=lambda c: pytest.fail(f"non-finite {c} from {argv}"))
     return code, out
 
@@ -191,7 +191,9 @@ class TestDecomposeCommand:
             capsys, "decompose", "1,2:-", "--modes", modes, "--max-weight", max_weight, "--check-oracle"
         )
         assert code == EXPECT_PARSE and not out
-        assert "ORACLE_MAX_MODES=3" in err and "ORACLE_MAX_WEIGHT=6" in err
+        guard = {"4": "ORACLE_MAX_MODES=3, asked at least 4",
+                 "2": "ORACLE_MAX_WEIGHT=6, asked at least 7"}[modes]
+        assert f"Schur expansion oracle: guard exceeded: {guard}, over by at least 1" in err
 
     def test_csv_format(self, capsys):
         code, out, _ = run(
@@ -213,6 +215,22 @@ class TestDecomposeCommand:
 
 
 class TestSimulateCommand:
+    def test_fuzz(self, capsys, tmp_path):
+        rng = random.Random(26)
+        labels = [f"1,{q}:{kind}" for q in (1, 2, 3) for kind in "+-"] + ["1,3,1:-"]
+        for _ in range(300):
+            modes = rng.randint(1, 4)
+            occupations = [rng.randint(0, 2) for _ in range(modes)]
+            while sum(occupations) > 5:
+                occupations[rng.randrange(modes)] = 0
+            state = ",".join(map(str, occupations))
+            if rng.random() < 0.5:  # valid and invalid auxiliary integers alike
+                state += ",aux=" + "/".join(str(rng.randint(-1, 4)) for k in occupations if k)
+            unitary = rng.choice([["bs"], ["haar", str(rng.randint(0, 9))], ["haar", "1"],
+                                  ["file", str(tmp_path / "missing.csv")]])
+            run_fuzzed(capsys, "simulate", rng.choice(labels), f"--modes={modes}",
+                       f"--input={state}", "--unitary", *unitary)
+
     def test_boson_bunching(self, capsys):
         code, doc, _ = run_json(
             capsys, "simulate", "1,1:+", "--modes", "2", "--input", "1,1",
@@ -327,19 +345,21 @@ class TestSimulateCommand:
             assert code == EXPECT_PARSE
             assert out == ""
             assert (
-                f"enumerates at least {count} states > SECTOR_BASIS_BOUND=65536, "
-                f"over by at least {count - 65536}"
+                f"guard exceeded: SECTOR_BASIS_BOUND=65536, "
+                f"asked at least {count}, over by at least {count - 65536}"
             ) in err
 
-    def test_sector_guard_covers_the_block_start_horizon(self, capsys):
+    def test_block_start_guard_refuses_one_mode_past_its_horizon(self, capsys):
+        # 4,097 bosons of 1,1:+ on one mode fill 4,098 states, within the
+        # sector guard; the block-start table refuses them before the sector
         argv = ("simulate", "1,1:+", "--modes", "1", "--unitary", "haar", "1", "--input")
         assert run(capsys, *argv, "4096")[0] == 0
         code, out, err = run(capsys, *argv, "4097")
         assert code == EXPECT_PARSE
         assert out == ""
         assert (
-            "sector guard exceeded: 1,1:+ with N=4097 on 1 modes asks occupations past "
-            "STARTS_HORIZON_BOUND=4096, over by 1"
+            "block-start table of 1,1:+ at occupation 4097, excitation 0: guard exceeded: "
+            "STARTS_HORIZON_BOUND=4096, asked at least 4097, over by at least 1"
         ) in err
 
     def test_beamsplitter_takes_no_argument(self, capsys):
@@ -491,7 +511,8 @@ class TestThermoCommand:
         assert code == EXPECT_PARSE
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
-        assert "SOLVE_MAX_ITER=200" in err and "|N - target| = " in err
+        assert "|N - target| = " in err
+        assert "guard exceeded: SOLVE_MAX_ITER=200, asked at least 201, over by at least 1" in err
 
     @pytest.mark.parametrize(
         "flags",
@@ -507,6 +528,19 @@ class TestThermoCommand:
         code, _, err = run(capsys, "thermo", "1,2:-", *flags)
         assert code == EXPECT_PARSE
         assert "finite" in err
+
+    @pytest.mark.parametrize("label", ["1,1:-", "1,3,1:-"])
+    @pytest.mark.parametrize("flags", [
+        ("--energies=-1e308,1", "--mu", "0"),
+        ("--energies=1", "--mu", "0", "--sweep=-1e308:1:3"),
+    ])
+    def test_fermionic_overflow_to_minus_inf_exits_2(self, capsys, label, flags):
+        # beta (eps - mu) = -inf puts a fermionic-like mode past every float
+        # log chi_1: refused, where the log-sum-exp gave NaN
+        code, out, err = run(capsys, "thermo", label, "--beta", "10", *flags)
+        assert code == EXPECT_PARSE
+        assert out == ""
+        assert "beta (eps - mu) overflows to -inf" in err
 
     def test_repeated_root_label_solves(self, capsys):
         code, doc, _ = run_json(
@@ -533,18 +567,20 @@ class TestThermoCommand:
         assert code == 0
         assert doc["occupations"] == [2.0**53 - 1]
 
-    def test_unbracketed_solve_exits_2(self, capsys):
-        code, out, err = run(
-            capsys, "thermo", "1,1:+", "--energies", "700", "--beta", "1e-12",
-            "--target-N", "1e-12",
-        )
-        assert code == EXPECT_PARSE
-        assert out == ""
-        assert "failed to bracket the chemical potential from below" in err
+    @pytest.mark.parametrize("argv", [
+        ("1,1:+", "--energies", "700", "--beta", "1e-12"),
+        ("1,2:-", "--energies", "1", "--beta", "1"),
+    ])
+    def test_target_below_the_solve_tolerance_solves(self, capsys, argv):
+        code, out, _ = run(capsys, "thermo", *argv, "--target-N", "1e-12")
+        assert code == 0
+        doc = json.loads(out, parse_constant=lambda c: pytest.fail(f"non-finite {c}"))
+        assert 0 <= doc["mean_N"] <= 1e-12
 
     def test_extreme_arguments_fuzz(self, capsys):
-        # every run ends in a documented exit code; an exception escaping
-        # main (a RuntimeWarning too, under -W error) fails the test
+        # every run ends in a documented exit code, with strict JSON on exit 0;
+        # an exception escaping main (a RuntimeWarning too, under -W error)
+        # fails the test
         rng = random.Random(25)
         values = ["1e308", "-1e308", "700", "-700", "1e-16", "-1e-16", "5.6e-17", "0"]
         betas = ["1e-12", "1e-6", "1", "1e6", "1e12"]
@@ -563,9 +599,7 @@ class TestThermoCommand:
             if mode == "--sweep":
                 lo, hi = rng.choices(values, k=2)
                 argv.append(f"--sweep={lo}:{hi}:{rng.randint(1, 40)}")
-            code, _, err = run(capsys, *argv)
-            assert code in DOCUMENTED_EXITS, argv
-            assert "Traceback" not in err, argv
+            run_fuzzed(capsys, *argv)
 
 
 def test_parser_built_once(capsys):

@@ -179,8 +179,10 @@ class TestBosonicRep:
             lambda: fermionic_rep(haar_unitary(17, 1), 3),  # 2^17 states
             lambda: bosonic_rep(haar_unitary(10, 1), 9),  # C(19, 9) = 92,378
         ):
-            with pytest.raises(ResourceGuardError, match="SECTOR_BASIS_BOUND=65536"):
+            with pytest.raises(ResourceGuardError) as info:
                 call()
+            assert (info.value.bound_name, info.value.bound) == ("SECTOR_BASIS_BOUND", 65536)
+            assert info.value.asked > 65536
 
     def test_guard_counts_states_not_particles(self):
         # 9 bosons on 2 modes: 55 states up to excitation 9, within the bound

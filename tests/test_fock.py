@@ -3,12 +3,13 @@ import sys
 import time
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from fockstat import classify
 from fockstat.classify import Kind, StatisticsSpec
-from fockstat.dynamics import _require_sector
+from fockstat.dynamics import _require_sector, sector_rep
 from fockstat.errors import InvalidStatisticsError, ResourceGuardError, UnsupportedStatisticsError
 from fockstat.fock import (
     STARTS_HORIZON_BOUND,
@@ -106,13 +107,17 @@ class TestExcitation:
 
     def test_start_table_growth_is_guarded(self):
         t0 = time.perf_counter()
-        with pytest.raises(
-            ResourceGuardError, match=r"occupation 1000000, .* STARTS_HORIZON_BOUND=4096 covers"
-        ):
+        with pytest.raises(ResourceGuardError) as info:
             excitation_of(bspec(1, 1), 10**6)  # a table of a million starts unguarded
         assert time.perf_counter() - t0 < 0.5
-        with pytest.raises(ResourceGuardError, match="excitation 5001"):
+        assert (info.value.bound_name, info.value.bound, info.value.asked) == (
+            "STARTS_HORIZON_BOUND", 4096, 4097
+        )
+        assert "occupation 1000000" in info.value.subject
+        with pytest.raises(ResourceGuardError) as info:
             enumerate_basis(bspec(1, 1), 1, excitation_cutoff=5000)
+        assert (info.value.bound, info.value.asked) == (4096, 5000)
+        assert "excitation 5001" in info.value.subject
         assert excitation_of(bspec(1, 1), 4096) == 4096  # the last one the bound covers
 
     def test_start_table_guard_leaves_room_for_every_sector(self):
@@ -122,19 +127,24 @@ class TestExcitation:
         for q, d in product((1, 2, 3), (2, 3, 4, 8)):
             spec = bspec(1, q)
             N = 0
-            with pytest.raises(ResourceGuardError, match="SECTOR_BASIS_BOUND"):
+            with pytest.raises(ResourceGuardError) as info:
                 while True:
                     _require_sector(spec, d, N + 1)
                     N += 1
+            assert info.value.bound_name == "SECTOR_BASIS_BOUND"
             top = _starts(spec, excitation=N + 1)[N + 1] - 1
             assert excitation_of(spec, top) == N
             assert len(_starts(spec, top)) - 2 <= STARTS_HORIZON_BOUND // 8
-        # one mode of 1,1:+ holds N + 1 states: the sector guard itself
-        # refuses it past the 4,096 particles the block-start table covers
-        _require_sector(bspec(1, 1), 1, STARTS_HORIZON_BOUND)
+        # one mode of 1,1:+ holds N + 1 states, within the sector guard; past
+        # the 4,096 particles the block-start table covers, the table's own
+        # guard refuses the sector before any state is built
+        _require_sector(bspec(1, 1), 1, STARTS_HORIZON_BOUND + 1)
         assert excitation_of(bspec(1, 1), STARTS_HORIZON_BOUND) == STARTS_HORIZON_BOUND
-        with pytest.raises(ResourceGuardError, match=r"sector guard .* N=4097 .*STARTS_HORIZON_BOUND=4096, over by 1"):
-            _require_sector(bspec(1, 1), 1, STARTS_HORIZON_BOUND + 1)
+        with pytest.raises(ResourceGuardError) as info:
+            sector_rep(bspec(1, 1), np.eye(1), STARTS_HORIZON_BOUND + 1)
+        assert (info.value.bound_name, info.value.bound, info.value.asked) == (
+            "STARTS_HORIZON_BOUND", 4096, 4097
+        )
         # a fermionic-like sector that large is empty, and is reported so later
         _require_sector(fspec(1, 1), 2, STARTS_HORIZON_BOUND + 1)
 

@@ -223,10 +223,11 @@ class TestSchurExpand:
         }
 
     def test_oracle_guard(self):
-        with pytest.raises(ResourceGuardError, match=r"d=4 \(ORACLE_MAX_MODES=3\), max_weight=2 \(ORACLE_MAX_WEIGHT=6\)$"):
-            schur_expand_oracle(IntegerSeries((1, 1)), 4, 2)
-        with pytest.raises(ResourceGuardError, match=r"d=2 \(ORACLE_MAX_MODES=3\), max_weight=7 \(ORACLE_MAX_WEIGHT=6\)$"):
-            schur_expand_oracle(IntegerSeries((1, 1)), 2, 7)
+        for d, max_weight, fields in [(4, 2, ("ORACLE_MAX_MODES", 3, 4)),
+                                      (2, 7, ("ORACLE_MAX_WEIGHT", 6, 7))]:
+            with pytest.raises(ResourceGuardError) as info:
+                schur_expand_oracle(IntegerSeries((1, 1)), d, max_weight)
+            assert (info.value.bound_name, info.value.bound, info.value.asked) == fields
         assert schur_expand_oracle(IntegerSeries((1, 1)), 3, 6)[P(1, 1, 1)] == 1
 
     def test_oracle_agreement_examples(self):

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 import warnings
 from fractions import Fraction
 
@@ -150,8 +151,12 @@ class TestMeanOccupation:
 class TestSolveMu:
     def test_no_convergence_raises_a_guard_error_with_the_residual(self):
         # adjacent floats of mu straddle the target, so bisection cannot reach SOLVE_TOL
-        with pytest.raises(ResourceGuardError, match=r"SOLVE_MAX_ITER=200 .*\|N - target\| = [0-9.e+-]+ "):
+        with pytest.raises(ResourceGuardError) as info:
             solve_mu(B11, [1.0, 2.0], 1.0, 1e6)
+        assert (info.value.bound_name, info.value.bound, info.value.asked) == (
+            "SOLVE_MAX_ITER", 200, 201
+        )
+        assert re.search(r"\|N - target\| = [0-9.e+-]+ ", info.value.subject)
 
     def test_particle_hole_symmetry(self):
         assert solve_mu(F11, [0.0, 1.0], 1.0, 1.0) == pytest.approx(0.5, abs=1e-9)
