@@ -327,12 +327,19 @@ def _poly_eval(p: Sequence, x):
 # validity and irreducibility
 
 
+@functools.lru_cache(maxsize=64)
+def _gate_layers(spec: StatisticsSpec) -> tuple[tuple[int, int], ...]:
+    """:func:`_layer_roots` of the label's defining polynomial, built once
+    per label for every pass through the gate."""
+    return tuple(_layer_roots(build_polynomial(spec)))
+
+
 def _gate_report(spec: StatisticsSpec) -> ClassificationReport:
     """The validity gate's report, ``irreducible`` left None: all roots real
     and strictly negative (fermionic-like) or strictly positive
     (bosonic-like), counted with multiplicity by exact Sturm sequences."""
     side = "negative" if spec.is_fermionic_like else "positive"
-    layers = _layer_roots(build_polynomial(spec))
+    layers = _gate_layers(spec)
     with_mult = sum(counts[side == "positive"] for counts in layers)
     valid = with_mult == spec.order
     return ClassificationReport(
@@ -354,7 +361,8 @@ def require_valid(spec: StatisticsSpec) -> None:
     """The validity gate every operation on a label passes through: raises
     InvalidStatisticsError for invalid labels, carrying the gate's report
     (built only then, with ``irreducible`` None: no factorization is run)."""
-    if count_real_roots(build_polynomial(spec), not spec.is_fermionic_like) != spec.order:
+    side = not spec.is_fermionic_like
+    if sum(counts[side] for counts in _gate_layers(spec)) != spec.order:
         raise InvalidStatisticsError(_gate_report(spec))
 
 

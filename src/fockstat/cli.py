@@ -77,8 +77,7 @@ def _complex_json(z: complex) -> dict:
 
 
 def _emit(payload: dict) -> None:
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _cmd_classify(args) -> int:

@@ -9,7 +9,7 @@ numeric points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import prod
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -241,18 +241,15 @@ def schur_eval(lam: Partition, point: Iterable[complex]) -> complex:
 def schur_dimension(lam: Partition, d: int) -> int:
     """Dimension of the unitary-group irreducible labelled by ``lam`` on d modes.
 
-    Weyl product formula; equals the number of SSYTs of shape lam with
-    entries <= d.
+    Weyl product formula, prod (lam_i - lam_j + j - i) / (j - i) over
+    i < j, as one exact integer division; equals the number of SSYTs of
+    shape lam with entries <= d.
     """
     if lam.length > d:
         return 0
     padded = lam.padded(d)
-    dim = Fraction(1)
-    for i in range(d):
-        for j in range(i + 1, d):
-            dim *= Fraction(padded[i] - padded[j] + j - i, j - i)
-    assert dim.denominator == 1
-    return int(dim)
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    return prod(padded[i] - padded[j] + j - i for i, j in pairs) // prod(j - i for i, j in pairs)
 
 
 def _det_bareiss(m: list[list[int]]) -> int:
@@ -317,17 +314,31 @@ def schur_expand_product(
     weight <= max_weight, computed as Toeplitz minors with mu empty.  Zero
     coefficients are omitted; values are exact integers (and may be
     negative when the series is not a valid character).
+
+    Row i of lam's minor is a_(lam_i - i), ..., a_(lam_i - i + d - 1): a
+    slice of one zero-padded coefficient tuple.  An untruncated series of
+    horizon K gives lam_1 > K a zero first row, so only the C(K + d, d)
+    partitions with parts <= K are decomposed; a truncated one needs
+    a_(max_weight + d - 1) and raises InsufficientHorizonError without it.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     if max_weight < 0:
         raise ValueError("max_weight must be >= 0")
-    empty = Partition(())
+    horizon = a.horizon
+    if a.truncated and max_weight + d - 1 > horizon:
+        # the first partition in graded order to run out: (horizon - d + 2,), or () if d - 1 > horizon
+        raise InsufficientHorizonError(required=max(horizon + 1, d - 1), horizon=horizon)
+    # a_s is padded[s + d - 1]; rows reach from a_(1 - d) to a_(lam_1 + d - 1)
+    zeros = (0,) * (d - 1)
+    padded = zeros + a.coeffs + zeros
     out: dict[Partition, int] = {}
-    for lam in enumerate_partitions(max_weight, d):
-        c = toeplitz_minor(a, lam, empty, d)
-        if c != 0:
-            out[lam] = c
+    for w in range(max_weight + 1):
+        for parts in _partitions_of(w, min(w, horizon), d):
+            lam = parts + (0,) * (d - len(parts))
+            c = _det_bareiss([list(padded[p - i + d - 1 : p - i + 2 * d - 1]) for i, p in enumerate(lam)])
+            if c != 0:
+                out[Partition(parts)] = c
     return out
 
 

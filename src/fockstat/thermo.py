@@ -312,6 +312,8 @@ def sweep(
         grid = [float(lo)]
     else:
         grid = [lo + i * (hi - lo) / (steps - 1) for i in range(steps)]
+    if not all(map(math.isfinite, grid)):
+        raise ValueError(f"sweep grid {lo!r}:{hi!r}:{steps} has a non-finite mode energy")
     # _diverges is monotone in t and t is monotone along the grid, so the
     # divergent rows are those past one cut in rising t: a prefix of the grid
     # if lo <= hi, a suffix if lo > hi.  Bisection finds the cut.

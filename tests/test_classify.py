@@ -1,4 +1,5 @@
 import collections
+import contextlib
 import dataclasses
 import functools
 import gc
@@ -883,11 +884,17 @@ class TestRootCounting:
                 return _f(*args)
 
             monkeypatch.setattr(classify, name, counting)
+        classify._gate_layers.cache_clear()
         is_valid_statistics(spec)
-        # one integer gcd and chain per square-free layer, a layer per
+        # cold: one integer gcd and chain per square-free layer, a layer per
         # multiplicity, and no rational chain
         assert calls == {"_int_sturm_chain": chains, "_int_gcd": chains}
         calls.clear()
+        # warm: the label's memoised layers, no chain at all
+        is_valid_statistics(spec)
+        with contextlib.suppress(InvalidStatisticsError):
+            require_valid(spec)
+        assert not calls
         # the divergence test keeps its one rational gcd and chain
         count_real_roots_upto(build_polynomial(spec), Fraction(1))
         assert calls == {"_sturm_chain": 1, "_gcd_poly": 1}

@@ -481,6 +481,17 @@ class TestThermoCommand:
         assert out == ""
         assert "steps must be >= 1" in err
 
+    @pytest.mark.parametrize("beta, grid", [("1e-300", "-1e308:1:3"), ("1", "-1e308:1e308:3"), ("1", "inf:0:1")])
+    def test_sweep_with_a_non_finite_grid_point_exits_2(self, capsys, beta, grid):
+        # lo + i (hi - lo) / (steps - 1) overflows to inf, or to inf * 0 = nan:
+        # refused, where the rows printed inf,0.0,ok and nan,nan,ok
+        code, out, err = run(
+            capsys, "thermo", "1,1:-", "--energies=1", "--beta", beta, "--mu", "0", f"--sweep={grid}",
+        )
+        assert code == EXPECT_PARSE
+        assert out == ""
+        assert "non-finite mode energy" in err
+
     def test_sweep_of_invalid_label_writes_no_header(self, capsys):
         code, out, _ = run(
             capsys, "thermo", "1,1,1:+", "--energies", "1", "--beta", "1",
@@ -532,7 +543,7 @@ class TestThermoCommand:
     @pytest.mark.parametrize("label", ["1,1:-", "1,3,1:-"])
     @pytest.mark.parametrize("flags", [
         ("--energies=-1e308,1", "--mu", "0"),
-        ("--energies=1", "--mu", "0", "--sweep=-1e308:1:3"),
+        ("--energies=1", "--mu", "0", "--sweep=-1e308:-5e307:3"),
     ])
     def test_fermionic_overflow_to_minus_inf_exits_2(self, capsys, label, flags):
         # beta (eps - mu) = -inf puts a fermionic-like mode past every float

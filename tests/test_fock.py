@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fockstat import classify
+from fockstat import classify, symfunc
 from fockstat.classify import Kind, StatisticsSpec
 from fockstat.dynamics import _require_sector, sector_rep
 from fockstat.errors import InvalidStatisticsError, ResourceGuardError, UnsupportedStatisticsError
@@ -202,16 +202,26 @@ class TestDecompose:
 
     @pytest.mark.parametrize("spec, max_weight", [(fspec(1, 3, 1), None), (bspec(1, 3, 2), 3)])
     def test_gate_runs_once(self, monkeypatch, spec, max_weight):
+        # one gate per label: built on a cold memo, read from it when warm
         calls = []
-        count = classify.count_real_roots
-
-        def counting(*args):
-            calls.append(args)
-            return count(*args)
-
-        monkeypatch.setattr(classify, "count_real_roots", counting)
+        layer_roots = classify._layer_roots
+        monkeypatch.setattr(classify, "_layer_roots", lambda *a: calls.append(a) or layer_roots(*a))
+        classify._gate_layers.cache_clear()
         decompose(spec, 2, max_weight=max_weight)
         assert len(calls) == 1
+        decompose(spec, 2, max_weight=max_weight)
+        assert len(calls) == 1
+        assert classify._gate_layers.cache_info().maxsize is not None
+
+    def test_minors_only_inside_the_box(self, monkeypatch):
+        # a degree-r fermionic-like label on d modes: only the C(r + d, d)
+        # partitions with parts <= r can have a nonzero minor
+        calls = []
+        det = symfunc._det_bareiss
+        monkeypatch.setattr(symfunc, "_det_bareiss", lambda m: calls.append(m) or det(m))
+        dec = decompose(fspec(1, 4, 6, 4, 1), 6)
+        assert len(calls) <= math.comb(10, 6) == 210
+        assert dec.dimension_check == (16**6, 16**6)
 
     @pytest.mark.parametrize("spec", [bspec(1, 1), bspec(1, 2), bspec(1, 3, 2), bspec(1, 2, 1),
                                       bspec(1, 6, 11, 6), bspec(1, 4, 4)])

@@ -138,6 +138,12 @@ class TestSchurEval:
         exact = schur_eval(lam, (1.0, 1.0, 0.5))
         assert nearly == pytest.approx(exact, rel=1e-4)
 
+    def test_dimension_counts_tableaux_up_to_six_modes(self):
+        # the integer Weyl product against the SSYT count, lengths past d included
+        for d in range(1, 7):
+            for lam in enumerate_partitions(6, 6):
+                assert schur_dimension(lam, d) == sum(schur_monomials(lam, d).values()), (lam, d)
+
     def test_dimension_agreement(self):
         for lam in enumerate_partitions(4, 3):
             d = 3
@@ -249,3 +255,52 @@ class TestSchurExpand:
         a = IntegerSeries((1, 2, 4, 8, 16), truncated=True)
         got = schur_expand_product(a, 2, 3)
         assert got == {EMPTY: 1, P(1): 2, P(2): 4, P(3): 8}
+
+
+def _expand_by_every_minor(a, d, max_weight):
+    """The reference route: one Toeplitz minor for every partition of length
+    <= d and weight <= max_weight, in graded order."""
+    out = {}
+    for lam in enumerate_partitions(max_weight, d):
+        c = toeplitz_minor(a, lam, EMPTY, d)
+        if c != 0:
+            out[lam] = c
+    return out
+
+
+def _outcome(expand, a, d, max_weight):
+    """Entries in their order, or the error's type and fields."""
+    try:
+        return list(expand(a, d, max_weight).items())
+    except InsufficientHorizonError as exc:
+        return type(exc), exc.required, exc.horizon
+
+
+class TestExpandAgainstEveryMinor:
+    """schur_expand_product decomposes only the partitions whose minor can be
+    nonzero; the all-partitions route is the reference it must equal."""
+
+    @pytest.mark.parametrize("coeffs", [(1,), (3,), (1, 1), (1, 0, 1), (2, 0, 0, 3), (1, 3, 1), (1, 2, 3, 4)])
+    def test_finite_series(self, coeffs):
+        a = IntegerSeries(coeffs)
+        for d in range(1, 7):
+            for max_weight in range(d * a.horizon + 3):
+                want = _outcome(_expand_by_every_minor, a, d, max_weight)
+                assert _outcome(schur_expand_product, a, d, max_weight) == want, (d, max_weight)
+
+    @pytest.mark.parametrize("coeffs", [(1, 2, 4, 8, 16, 32, 64, 128, 256), (1, 0, 1, 0, 1, 0, 1, 0, 1),
+                                        (1, 1), (2,)])
+    def test_truncated_series_on_both_sides_of_the_horizon(self, coeffs):
+        a = IntegerSeries(coeffs, truncated=True)
+        for d in range(1, 7):
+            for max_weight in range(a.horizon + 3):
+                want = _outcome(_expand_by_every_minor, a, d, max_weight)
+                assert _outcome(schur_expand_product, a, d, max_weight) == want, (d, max_weight)
+
+    def test_truncated_series_error_fields(self):
+        # the first partition to run out is (horizon - d + 2,), or the
+        # empty one when d - 1 > horizon
+        for coeffs, d, max_weight, required in [((1, 1, 1), 2, 2, 3), ((1, 1), 4, 0, 3), ((1,), 1, 1, 1)]:
+            with pytest.raises(InsufficientHorizonError) as info:
+                schur_expand_product(IntegerSeries(coeffs, truncated=True), d, max_weight)
+            assert (info.value.required, info.value.horizon) == (required, len(coeffs) - 1)

@@ -496,8 +496,8 @@ class TestModes:
                     assert (log_chi[0], n[0]) == (math.log(spec.q[0]), 0.0)
                     ts, log_chi, n = ts[1:], log_chi[1:], n[1:]
                 _assert_near_exact(spec, ts, log_chi, n)
-            rows = sweep(F11, (-1e308, 1e308, 5), EnsembleParams(1e308, 0.0))
-            assert [r.flag for r in rows] == ["ok"] * 5
+            rows = sweep(F11, (5e307, 1e308, 3), EnsembleParams(1e308, 0.0))
+            assert [r.flag for r in rows] == ["ok"] * 3
 
 
 class TestSweep:
@@ -556,6 +556,21 @@ class TestSweep:
     def test_grid_is_inclusive(self):
         rows = sweep(F11, (0.0, 1.0, 3), EnsembleParams(1.0, 0.0))
         assert [r.epsilon for r in rows] == [0.0, 0.5, 1.0]
+
+    @pytest.mark.parametrize("grid", [(-1e308, 1.0, 3), (-1e308, 1e308, 3), (-1e308, 1e308, 5),
+                                      (math.inf, 0.0, 1), (0.0, math.nan, 2)])
+    def test_non_finite_grid_point_rejected(self, grid):
+        # the grid formula overflows to inf (or inf * 0 = nan) past 1.8e308
+        with pytest.raises(ValueError, match="non-finite mode energy"):
+            sweep(F11, grid, EnsembleParams(1.0, 0.0))
+        with pytest.raises(ValueError, match="non-finite mode energy"):
+            sweep(B11, grid, EnsembleParams(1e-300, 0.0))
+
+    def test_finite_grid_near_the_float_limit_kept(self):
+        # the largest grids the formula still spans: every point finite
+        rows = sweep(F11, (-1e308, 7e307, 2), EnsembleParams(1e-300, 0.0))
+        assert all(math.isfinite(r.epsilon) for r in rows)
+        assert [r.flag for r in rows] == ["ok", "ok"]
 
 
 class TestEnsembleParams:
